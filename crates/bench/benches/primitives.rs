@@ -4,9 +4,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use miniraid_core::config::ProtocolConfig;
+use miniraid_core::engine::{Input, SiteEngine};
 use miniraid_core::faillock::FailLockTable;
 use miniraid_core::ids::{ItemId, SessionNumber, SiteId, TxnId};
-use miniraid_core::messages::Message;
+use miniraid_core::messages::{Command, Message};
+use miniraid_core::packed::PackedSiteTable;
 use miniraid_core::session::SessionVector;
 use miniraid_net::codec::{decode, encode};
 use miniraid_storage::{ItemValue, MemStore, Wal, WalRecord};
@@ -26,19 +29,16 @@ fn bench_faillocks(c: &mut Criterion) {
         vector.mark_down(SiteId(3));
         b.iter(|| table.maintain_on_commit(black_box(ItemId(9)), &vector))
     });
-    group.bench_function("count_locked_for_db50", |b| {
-        let mut table = FailLockTable::new(50, 4);
-        for i in (0..50).step_by(2) {
-            table.set(ItemId(i), SiteId(1));
-        }
-        b.iter(|| table.count_locked_for(black_box(SiteId(1))))
+    // The fail-recover shape: 100 000 items, 65 000 stale for one site.
+    let mut recovering = FailLockTable::new(100_000, 3);
+    for i in 0..65_000 {
+        recovering.set(ItemId(i), SiteId(2));
+    }
+    group.bench_function("count_locked_for_db100k", |b| {
+        b.iter(|| recovering.count_locked_for(black_box(SiteId(2))))
     });
-    group.bench_function("items_locked_for_db4096", |b| {
-        let mut table = FailLockTable::new(4096, 8);
-        for i in (0..4096).step_by(3) {
-            table.set(ItemId(i), SiteId(5));
-        }
-        b.iter(|| table.items_locked_for(black_box(SiteId(5))))
+    group.bench_function("items_locked_for_db100k", |b| {
+        b.iter(|| recovering.items_locked_for(black_box(SiteId(2))))
     });
     group.bench_function("snapshot_install_db4096", |b| {
         let table = FailLockTable::new(4096, 8);
@@ -46,6 +46,66 @@ fn bench_faillocks(c: &mut Criterion) {
         let mut target = FailLockTable::new(4096, 8);
         b.iter(|| target.install_snapshot(black_box(&snap)))
     });
+    group.finish();
+}
+
+/// A recovering site (type-1 done, copies still fail-locked) takes part
+/// in a commit: `CopyUpdate` then `Commit`. The per-commit recovery
+/// bookkeeping must not depend on the database size.
+fn bench_commit_while_recovering(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine");
+    for (name, db_size) in [
+        ("commit_while_recovering_db1k", 1_000u32),
+        ("commit_while_recovering_db1m", 1_000_000),
+    ] {
+        let config = ProtocolConfig {
+            db_size,
+            n_sites: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut engine = SiteEngine::new(SiteId(1), config);
+        let mut out = Vec::new();
+        engine.handle(Input::Control(Command::Fail), &mut out);
+        engine.handle(Input::Control(Command::Recover), &mut out);
+        // Site 0's answer: the upper half of our copies is stale.
+        let mut faillocks = vec![0u64; db_size as usize];
+        faillocks[db_size as usize / 2..].fill(0b10);
+        let info = Message::RecoveryInfo {
+            vector: (0..2).map(|s| engine.vector().record(SiteId(s))).collect(),
+            faillocks: PackedSiteTable::pack(&faillocks),
+            holders: PackedSiteTable::pack(&vec![0b11; db_size as usize]),
+            backups: PackedSiteTable::pack(&vec![0; db_size as usize]),
+        };
+        engine.handle(
+            Input::Deliver {
+                from: SiteId(0),
+                msg: info,
+            },
+            &mut out,
+        );
+        assert!(engine.is_up() && engine.own_stale_count() == db_size / 2);
+        let snapshot = engine.vector().session_snapshot();
+        let mut txn = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                txn += 1;
+                out.clear();
+                let update = Message::CopyUpdate {
+                    txn: TxnId(txn),
+                    writes: vec![(ItemId(7), ItemValue::new(txn, txn))],
+                    snapshot: snapshot.clone(),
+                    clears: vec![],
+                    up_mask: 0b11,
+                };
+                for msg in [update, Message::Commit { txn: TxnId(txn) }] {
+                    let from = SiteId(0);
+                    engine.handle(Input::Deliver { from, msg }, &mut out);
+                }
+                black_box(out.len())
+            })
+        });
+        assert_eq!(engine.db().get(7).unwrap().version, txn);
+    }
     group.finish();
 }
 
@@ -95,9 +155,9 @@ fn bench_codec(c: &mut Criterion) {
             };
             4
         ],
-        faillocks: vec![0xAAAA; 4096],
-        holders: vec![u64::MAX; 4096],
-        backups: vec![0; 4096],
+        faillocks: PackedSiteTable::pack(&[0xAAAA; 4096]),
+        holders: PackedSiteTable::pack(&[u64::MAX; 4096]),
+        backups: PackedSiteTable::pack(&[0; 4096]),
     };
     group.bench_function("encode_recovery_info_db4096", |b| {
         b.iter(|| black_box(encode(black_box(&info))))
@@ -105,6 +165,24 @@ fn bench_codec(c: &mut Criterion) {
     let encoded_info = encode(&info);
     group.bench_function("decode_recovery_info_db4096", |b| {
         b.iter(|| black_box(decode(black_box(&encoded_info)).unwrap()))
+    });
+    // One donor's answer on the fail-recover workload, there and back.
+    let mut stale = vec![0u64; 100_000];
+    stale[..65_000].fill(0b100);
+    let info = Message::RecoveryInfo {
+        vector: vec![
+            miniraid_core::session::SiteRecord {
+                session: SessionNumber(3),
+                status: miniraid_core::session::SiteStatus::Up,
+            };
+            3
+        ],
+        faillocks: PackedSiteTable::pack(&stale),
+        holders: PackedSiteTable::pack(&vec![0b111; 100_000]),
+        backups: PackedSiteTable::pack(&vec![0; 100_000]),
+    };
+    group.bench_function("recovery_info_encode_decode_db100k", |b| {
+        b.iter(|| black_box(decode(&encode(black_box(&info))).unwrap()))
     });
     group.finish();
 }
@@ -150,6 +228,7 @@ fn bench_storage(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_faillocks,
+    bench_commit_while_recovering,
     bench_session_vector,
     bench_codec,
     bench_storage

@@ -9,7 +9,7 @@ use miniraid_core::engine::SiteEngine;
 use miniraid_core::trace::{SystemClock, TraceSink, Tracer};
 use miniraid_obs::json::JsonlSink;
 use miniraid_obs::sink::TeeSink;
-use miniraid_obs::{expo, MetricsHub};
+use miniraid_obs::{expo, HubSnapshot, MetricsHub};
 
 /// Observability state for one running site: the latency hub folded from
 /// the engine's event stream, and the JSONL sink (if tracing to a file)
@@ -47,16 +47,12 @@ impl SiteObs {
     }
 
     /// Render the Prometheus-style exposition text for this site,
-    /// status gauges (`miniraid_site_up`, `miniraid_site_session`)
-    /// first so a live health view can tell a down site from a live one.
+    /// status gauges (`miniraid_site_up`, `miniraid_site_session`,
+    /// `miniraid_recovery_faillocks_outstanding`) first so a live health
+    /// view can tell a down site from a live one and watch a recovery
+    /// drain.
     pub fn render(&self, engine: &SiteEngine) -> String {
-        expo::render_with_status(
-            engine.id(),
-            engine.is_up(),
-            engine.session().0,
-            engine.metrics(),
-            Some(&self.hub.snapshot()),
-        )
+        render(engine, Some(&self.hub.snapshot()))
     }
 
     /// Flush the JSONL trace file, if any.
@@ -70,11 +66,16 @@ impl SiteObs {
 /// Exposition text for a site with no tracer attached: engine counters
 /// only, no latency histograms.
 pub fn render_plain(engine: &SiteEngine) -> String {
+    render(engine, None)
+}
+
+fn render(engine: &SiteEngine, hub: Option<&HubSnapshot>) -> String {
     expo::render_with_status(
         engine.id(),
         engine.is_up(),
         engine.session().0,
+        engine.own_stale_count(),
         engine.metrics(),
-        None,
+        hub,
     )
 }

@@ -10,6 +10,7 @@
 
 use crate::ids::{ItemId, SessionNumber, SiteId};
 use crate::messages::Message;
+use crate::packed::PackedSiteTable;
 use crate::session::{SiteRecord, SiteStatus};
 use crate::trace::EventKind;
 use miniraid_storage::ItemValue;
@@ -191,9 +192,9 @@ impl SiteEngine {
         &mut self,
         from: SiteId,
         vector: Vec<SiteRecord>,
-        faillocks: Vec<u64>,
-        holders: Vec<u64>,
-        backups: Vec<u64>,
+        faillocks: PackedSiteTable,
+        holders: PackedSiteTable,
+        backups: PackedSiteTable,
         out: &mut Vec<Output>,
     ) {
         let Some(recovery) = self.recovery.take() else {
@@ -236,34 +237,13 @@ impl SiteEngine {
             },
         );
         if self.config.fail_locks_enabled {
-            // The installed snapshot replaces our (stale) table wholesale;
-            // account the net bit delta so the cumulative counters keep
-            // satisfying `faillocks_set − faillocks_cleared == bits set`.
+            // The installed snapshot replaces our (stale) table wholesale.
             // If this responder was itself stale, the other candidates'
             // responses union the missing bits back in (see
             // `on_late_recovery_info`).
-            let before = self.faillocks.total_set() as u64;
+            let before = self.faillocks.total_set();
             self.faillocks.install_snapshot(&faillocks);
-            let after = self.faillocks.total_set() as u64;
-            if after > before {
-                let delta = after - before;
-                self.metrics.faillocks_set += delta;
-                self.tracer.emit(
-                    None,
-                    EventKind::FailLocksSet {
-                        count: delta.min(u32::MAX as u64) as u32,
-                    },
-                );
-            } else if before > after {
-                let delta = before - after;
-                self.metrics.faillocks_cleared += delta;
-                self.tracer.emit(
-                    None,
-                    EventKind::FailLocksCleared {
-                        count: delta.min(u32::MAX as u64) as u32,
-                    },
-                );
-            }
+            self.account_faillock_delta(before);
         }
         // The replication map is replicated state too: adopt the
         // responder's (we missed any type-3 backup creations/retirements
@@ -299,7 +279,7 @@ impl SiteEngine {
         &mut self,
         from: SiteId,
         vector: Vec<SiteRecord>,
-        faillocks: Vec<u64>,
+        faillocks: PackedSiteTable,
         out: &mut Vec<Output>,
     ) {
         let Some(pos) = self.late_donors.iter().position(|&s| s == from) else {
@@ -322,21 +302,32 @@ impl SiteEngine {
         }
         self.vector.install_from(&received, me);
         if self.config.fail_locks_enabled {
-            let before = self.faillocks.total_set() as u64;
+            let before = self.faillocks.total_set();
             self.faillocks.union_snapshot(&faillocks);
-            let after = self.faillocks.total_set() as u64;
-            if after > before {
-                let delta = after - before;
-                self.metrics.faillocks_set += delta;
-                self.tracer.emit(
-                    None,
-                    EventKind::FailLocksSet {
-                        count: delta.min(u32::MAX as u64) as u32,
-                    },
-                );
+            if self.account_faillock_delta(before) > 0 {
                 out.push(Output::Work(Work::FailLockInstall(self.config.db_size)));
             }
         }
+    }
+
+    /// A received snapshot changed the table wholesale: account the net
+    /// bit delta since `before` (the table's per-site counts make both
+    /// totals free) so the cumulative counters keep satisfying
+    /// `faillocks_set − faillocks_cleared == bits set`. Returns the
+    /// number of bits gained.
+    fn account_faillock_delta(&mut self, before: u32) -> u32 {
+        let after = self.faillocks.total_set();
+        if after > before {
+            let count = after - before;
+            self.metrics.faillocks_set += count as u64;
+            self.tracer.emit(None, EventKind::FailLocksSet { count });
+        } else if before > after {
+            let count = before - after;
+            self.metrics.faillocks_cleared += count as u64;
+            self.tracer
+                .emit(None, EventKind::FailLocksCleared { count });
+        }
+        after.saturating_sub(before)
     }
 
     /// No `RecoveryInfo` arrived: ask the next candidate, or give up.
@@ -382,21 +373,8 @@ impl SiteEngine {
     /// between on-demand copiers (the paper's implementation) and the
     /// two-step scheme (§3.2).
     pub(super) fn init_data_refresh(&mut self, out: &mut Vec<Output>) {
-        let stale = self.own_stale_count();
-        if stale == 0 {
-            self.refresh = RefreshMode::Idle;
-            out.push(Output::DataRecoveryComplete);
-            return;
-        }
-        match self.config.two_step_recovery {
-            Some(two_step) if (stale as f64 / self.config.db_size as f64) <= two_step.threshold => {
-                self.refresh = RefreshMode::Batch { armed: true };
-                out.push(Output::SetTimer(TimerId::BatchCopier));
-            }
-            _ => {
-                self.refresh = RefreshMode::OnDemand;
-            }
-        }
+        self.refresh = RefreshMode::OnDemand;
+        self.after_own_locks_changed(out);
     }
 
     // ---- type 2: failure announcement -------------------------------------

@@ -129,8 +129,6 @@ impl SiteEngine {
                 let state = self.coords.get_mut(&owner).expect("transaction in flight");
                 if state.pending_copiers.is_empty() && state.pending_reads.is_empty() {
                     self.proceed_after_refresh(owner, out);
-                } else {
-                    self.after_own_locks_changed(out);
                 }
             }
             return;

@@ -1043,7 +1043,8 @@ impl SiteEngine {
     }
 
     /// React to changes in our own fail-lock bits: completion of data
-    /// recovery, or transition to batch copier mode (two-step recovery).
+    /// recovery, or transition to batch copier mode — the one place the
+    /// two-step decision (§3.2, stale share ≤ threshold) is taken.
     pub(crate) fn after_own_locks_changed(&mut self, out: &mut Vec<Output>) {
         if self.refresh == RefreshMode::Idle {
             return;
@@ -1054,14 +1055,13 @@ impl SiteEngine {
             out.push(Output::DataRecoveryComplete);
             return;
         }
-        if let Some(two_step) = self.config.two_step_recovery {
-            let frac = stale as f64 / self.config.db_size as f64;
-            if frac <= two_step.threshold {
-                if let RefreshMode::OnDemand = self.refresh {
-                    self.refresh = RefreshMode::Batch { armed: true };
-                    out.push(Output::SetTimer(TimerId::BatchCopier));
-                }
-            }
+        let batch_due = self
+            .config
+            .two_step_recovery
+            .is_some_and(|t| stale as f64 / self.config.db_size as f64 <= t.threshold);
+        if batch_due && self.refresh == RefreshMode::OnDemand {
+            self.refresh = RefreshMode::Batch { armed: true };
+            out.push(Output::SetTimer(TimerId::BatchCopier));
         }
     }
 }

@@ -32,19 +32,19 @@ impl SiteEngine {
             .two_step_recovery
             .map(|t| t.batch_size)
             .unwrap_or(0) as usize;
-        let stale = self.faillocks.items_locked_for(me);
-
-        // Group sourceable items by their refresh source.
+        // Walk our stale copies from the table's low-water mark, lowest
+        // ids first, and stop at `batch_size` sourceable ones: a round
+        // costs what it selects, not what the table holds. Group the
+        // selection by refresh source.
+        self.faillocks.advance_low_water(me);
         let mut groups: HashMap<SiteId, Vec<ItemId>> = HashMap::new();
-        let mut taken = 0usize;
-        for item in stale {
-            if taken >= batch_size {
-                break;
-            }
-            if let Some(src) = self.up_to_date_source(item) {
-                groups.entry(src).or_default().push(item);
-                taken += 1;
-            }
+        let sourceable = self
+            .faillocks
+            .locked_from_low_water(me)
+            .filter_map(|item| Some((self.up_to_date_source(item)?, item)))
+            .take(batch_size);
+        for (src, item) in sourceable {
+            groups.entry(src).or_default().push(item);
         }
 
         if groups.is_empty() {

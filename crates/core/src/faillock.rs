@@ -11,6 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ItemId, SiteId};
+use crate::packed::{bits_of, PackedSiteTable};
 use crate::session::SessionVector;
 
 /// The replicated fail-lock table of one site.
@@ -33,12 +34,36 @@ use crate::session::SessionVector;
 /// table.clear(ItemId(7), SiteId(3));
 /// assert_eq!(table.total_set(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FailLockTable {
     /// `bits[item] & (1 << site)` set ⇔ fail-lock set for `site` on `item`.
     bits: Vec<u64>,
     n_sites: u8,
+    /// `stale[site]` = number of items fail-locked for `site`. Always
+    /// equal to a recount of `bits`: every word written goes through
+    /// [`FailLockTable::store`] (or arrives with its own counts, in
+    /// [`FailLockTable::install_snapshot`]), so the counts cost what
+    /// was flipped, never what is stored.
+    stale: [u32; MAX_SITES],
+    /// `low[site]`: no item below it is fail-locked for `site`. A lower
+    /// bound, not the exact minimum — `store` lowers it when a bit is
+    /// set beneath it, [`FailLockTable::advance_low_water`] raises it
+    /// past cleared items.
+    low: [u32; MAX_SITES],
 }
+
+/// Width of the per-item bitmap word.
+const MAX_SITES: usize = 64;
+
+/// Two tables are equal when they lock the same copies; the low-water
+/// marks are a search hint and take no part.
+impl PartialEq for FailLockTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_sites == other.n_sites && self.bits == other.bits
+    }
+}
+
+impl Eq for FailLockTable {}
 
 /// Counts returned by commit-time fail-lock maintenance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,13 +81,32 @@ impl FailLockTable {
     /// Panics if `n_sites > 64` (the bitmap width).
     pub fn new(n_items: u32, n_sites: u8) -> Self {
         assert!(
-            n_sites as usize <= 64,
+            n_sites as usize <= MAX_SITES,
             "fail-lock bitmaps support ≤64 sites"
         );
         FailLockTable {
             bits: vec![0; n_items as usize],
             n_sites,
+            stale: [0; MAX_SITES],
+            low: [n_items; MAX_SITES],
         }
+    }
+
+    /// Replace one item's word — the only place a single word is
+    /// written — and account every flipped bit in the per-site counts
+    /// and low-water marks. Returns the previous word.
+    #[inline]
+    fn store(&mut self, index: usize, after: u64) -> u64 {
+        let before = std::mem::replace(&mut self.bits[index], after);
+        for site in bits_of(before ^ after).map(usize::from) {
+            if after >> site & 1 != 0 {
+                self.stale[site] += 1;
+                self.low[site] = self.low[site].min(index as u32);
+            } else {
+                self.stale[site] -= 1;
+            }
+        }
+        before
     }
 
     /// Number of items covered.
@@ -79,20 +123,16 @@ impl FailLockTable {
     /// was not already set.
     pub fn set(&mut self, item: ItemId, site: SiteId) -> bool {
         let mask = 1u64 << site.0;
-        let slot = &mut self.bits[item.index()];
-        let was = *slot & mask != 0;
-        *slot |= mask;
-        !was
+        let before = self.store(item.index(), self.bits[item.index()] | mask);
+        before & mask == 0
     }
 
     /// Clear the fail-lock for `site` on `item`. Returns true if the bit
     /// was set.
     pub fn clear(&mut self, item: ItemId, site: SiteId) -> bool {
         let mask = 1u64 << site.0;
-        let slot = &mut self.bits[item.index()];
-        let was = *slot & mask != 0;
-        *slot &= !mask;
-        was
+        let before = self.store(item.index(), self.bits[item.index()] & !mask);
+        before & mask != 0
     }
 
     /// Is the fail-lock for `site` set on `item` (i.e. is site's copy of
@@ -114,7 +154,7 @@ impl FailLockTable {
 
     /// Install one raw bitmap word (durable restart preload).
     pub fn set_word(&mut self, item: ItemId, word: u64) {
-        self.bits[item.index()] = word;
+        self.store(item.index(), word);
     }
 
     /// Sites whose copy of `item` is out of date.
@@ -125,27 +165,48 @@ impl FailLockTable {
             .map(SiteId)
     }
 
-    /// Items whose copy at `site` is out of date, in id order.
+    /// Items whose copy at `site` is out of date, in id order (a scan of
+    /// the whole table; the batch copier walks
+    /// [`FailLockTable::locked_from_low_water`] instead).
     pub fn items_locked_for(&self, site: SiteId) -> Vec<ItemId> {
+        self.locked_from(site, 0).collect()
+    }
+
+    /// Items fail-locked for `site` from its low-water mark up, in id
+    /// order — exactly [`FailLockTable::items_locked_for`], found without
+    /// visiting the items below the mark.
+    pub fn locked_from_low_water(&self, site: SiteId) -> impl Iterator<Item = ItemId> + '_ {
+        self.locked_from(site, self.low[site.index()] as usize)
+    }
+
+    fn locked_from(&self, site: SiteId, start: usize) -> impl Iterator<Item = ItemId> + '_ {
         let mask = 1u64 << site.0;
-        self.bits
+        self.bits[start..]
             .iter()
             .enumerate()
-            .filter(|(_, w)| **w & mask != 0)
-            .map(|(i, _)| ItemId(i as u32))
-            .collect()
+            .filter(move |(_, w)| **w & mask != 0)
+            .map(move |(i, _)| ItemId((start + i) as u32))
+    }
+
+    /// Raise `site`'s low-water mark past the items no longer locked for
+    /// it. Amortised over a recovery this visits each item once.
+    pub fn advance_low_water(&mut self, site: SiteId) {
+        let mask = 1u64 << site.0;
+        let low = &mut self.low[site.index()];
+        while self.bits.get(*low as usize).is_some_and(|w| w & mask == 0) {
+            *low += 1;
+        }
     }
 
     /// Number of items fail-locked for `site` — the y-axis of the paper's
     /// Figures 1–3 ("number of fail-locks set").
     pub fn count_locked_for(&self, site: SiteId) -> u32 {
-        let mask = 1u64 << site.0;
-        self.bits.iter().filter(|w| **w & mask != 0).count() as u32
+        self.stale[site.index()]
     }
 
     /// Total fail-lock bits set across all items and sites.
     pub fn total_set(&self) -> u32 {
-        self.bits.iter().map(|w| w.count_ones()).sum()
+        self.stale.iter().sum()
     }
 
     /// Commit-time maintenance for one written item (paper §1.2):
@@ -194,30 +255,36 @@ impl FailLockTable {
     ) -> MaintainCounts {
         let down_mask = holder_mask & !up_mask;
         let clear_mask = holder_mask & up_mask;
-        let slot = &mut self.bits[item.index()];
-        let before = *slot;
-        let after = (before | down_mask) & !clear_mask;
-        *slot = after;
+        let after = (self.bits[item.index()] | down_mask) & !clear_mask;
+        let before = self.store(item.index(), after);
         MaintainCounts {
             set: (after & !before).count_ones(),
             cleared: (before & !after).count_ones(),
         }
     }
 
-    /// Raw bitmap snapshot — shipped to a recovering site during a type-1
-    /// control transaction (fail-locks are fully replicated).
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.bits.clone()
+    /// The table packed for transfer — shipped to a recovering site
+    /// during a type-1 control transaction (fail-locks are fully
+    /// replicated).
+    pub fn snapshot(&self) -> PackedSiteTable {
+        PackedSiteTable::pack(&self.bits)
     }
 
-    /// Install a snapshot received during recovery, replacing local state.
+    /// Install a snapshot received during recovery, replacing local state
+    /// (one pass over the table; the counts come from the snapshot's own
+    /// sets, not from a recount).
     ///
     /// Correctness relies on the system invariant that at least one site
     /// was operational at every instant: the operational sites' tables are
     /// then authoritative and identical at quiescent points.
-    pub fn install_snapshot(&mut self, snapshot: &[u64]) {
-        assert_eq!(snapshot.len(), self.bits.len(), "snapshot size mismatch");
-        self.bits.copy_from_slice(snapshot);
+    pub fn install_snapshot(&mut self, snapshot: &PackedSiteTable) {
+        snapshot.unpack_into(&mut self.bits);
+        self.stale = [0; MAX_SITES];
+        self.low = [self.n_items(); MAX_SITES];
+        for (site, count, first) in snapshot.site_counts() {
+            self.stale[site as usize] = count;
+            self.low[site as usize] = first;
+        }
     }
 
     /// Merge a snapshot received during recovery into the local table by
@@ -231,10 +298,14 @@ impl FailLockTable {
     /// redundant copier refresh of a copy that was already fresh, while
     /// a dropped bit lets a stale copy masquerade as current and lose a
     /// committed write. Union is therefore the safe merge.
-    pub fn union_snapshot(&mut self, snapshot: &[u64]) {
-        assert_eq!(snapshot.len(), self.bits.len(), "snapshot size mismatch");
-        for (slot, word) in self.bits.iter_mut().zip(snapshot) {
-            *slot |= word;
+    pub fn union_snapshot(&mut self, snapshot: &PackedSiteTable) {
+        assert_eq!(snapshot.items(), self.n_items(), "snapshot size mismatch");
+        for (index, word) in snapshot.words().enumerate() {
+            // Identical responses are the failure-free case: write only
+            // the words that gain a bit.
+            if word & !self.bits[index] != 0 {
+                self.store(index, self.bits[index] | word);
+            }
         }
     }
 }

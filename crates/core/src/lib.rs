@@ -68,6 +68,7 @@ pub mod locks;
 pub mod messages;
 pub mod metrics;
 pub mod ops;
+pub mod packed;
 pub mod partial;
 pub mod session;
 pub mod trace;

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::AbortReason;
 use crate::ids::{ItemId, ReqId, SessionNumber, SiteId, TxnId};
+use crate::packed::PackedSiteTable;
 use crate::session::{SiteRecord, SiteStatus};
 use miniraid_storage::ItemValue;
 
@@ -254,12 +255,12 @@ pub enum Message {
     RecoveryInfo {
         /// The responder's nominal session vector records, in site order.
         vector: Vec<SiteRecord>,
-        /// The responder's fail-lock bitmaps, one word per item.
-        faillocks: Vec<u64>,
+        /// The responder's fail-lock table.
+        faillocks: PackedSiteTable,
         /// The responder's replication map: holder bits per item.
-        holders: Vec<u64>,
+        holders: PackedSiteTable,
         /// ... and which of those holdings are type-3 backups.
-        backups: Vec<u64>,
+        backups: PackedSiteTable,
     },
     /// Type 2: the sender determined that the listed sites, last seen in
     /// the given sessions, have failed.
@@ -676,6 +677,14 @@ pub fn status_from_code(code: u8) -> Option<SiteStatus> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every message moved through the engine, the site loop and the
+    /// transports is as large as the largest variant; the rare, big
+    /// state-transfer payloads must stay behind pointers.
+    #[test]
+    fn message_stays_small() {
+        assert!(std::mem::size_of::<Message>() <= 96);
+    }
 
     #[test]
     fn kinds_are_distinct_for_core_messages() {

@@ -16,6 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ItemId, SiteId};
+use crate::packed::PackedSiteTable;
 
 /// Which sites hold a copy of each item.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,20 +136,22 @@ impl ReplicationMap {
         self.holders.iter().all(|w| *w == all)
     }
 
-    /// Raw snapshot `(holders, backups)` — shipped to a recovering site
-    /// during a type-1 control transaction (the map, like the fail-lock
-    /// table, is replicated state that down sites miss updates to).
-    pub fn snapshot(&self) -> (Vec<u64>, Vec<u64>) {
-        (self.holders.clone(), self.backups.clone())
+    /// Snapshot `(holders, backups)`, packed for transfer — shipped to a
+    /// recovering site during a type-1 control transaction (the map, like
+    /// the fail-lock table, is replicated state that down sites miss
+    /// updates to).
+    pub fn snapshot(&self) -> (PackedSiteTable, PackedSiteTable) {
+        (
+            PackedSiteTable::pack(&self.holders),
+            PackedSiteTable::pack(&self.backups),
+        )
     }
 
     /// Install a snapshot received during recovery, replacing local
     /// state (the operational sites' maps are authoritative).
-    pub fn install_snapshot(&mut self, holders: &[u64], backups: &[u64]) {
-        assert_eq!(holders.len(), self.holders.len(), "map size mismatch");
-        assert_eq!(backups.len(), self.backups.len(), "map size mismatch");
-        self.holders.copy_from_slice(holders);
-        self.backups.copy_from_slice(backups);
+    pub fn install_snapshot(&mut self, holders: &PackedSiteTable, backups: &PackedSiteTable) {
+        holders.unpack_into(&mut self.holders);
+        backups.unpack_into(&mut self.backups);
     }
 
     /// Items `site` holds, in id order.

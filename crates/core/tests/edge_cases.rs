@@ -555,3 +555,90 @@ fn recovering_site_learns_backup_holdings_via_ct1() {
     assert!(r.outcome.is_committed());
     assert_eq!(r.read_results[0].1.data, 99, "refreshed, not stale");
 }
+
+/// Pins the anomaly PR 11 found while building the benchmark (CHANGES.md,
+/// PR 11, "FOUND while building"; ROADMAP item 3 owns the fix — this
+/// test documents today's behaviour and must be inverted by it).
+///
+/// With a transaction in flight across a type-1 control transaction, the
+/// commit's `up_mask` predates the recovery: the donors format
+/// `RecoveryInfo` before the commit sets the fail-lock, the recovering
+/// site is no participant of the commit, and nothing tells it afterwards.
+/// It ends up operational with a stale copy its own table does not mark,
+/// and read-one serves that copy. The paper processes transactions
+/// serially system-wide and never meets this; `max_inflight > 1` (and
+/// any driver that recovers a site under load) does.
+#[test]
+fn commit_spanning_a_type1_leaves_the_recovered_site_stale_without_a_faillock() {
+    fn sends(out: Vec<Output>) -> Vec<(SiteId, Message)> {
+        out.into_iter()
+            .filter_map(|o| match o {
+                Output::Send { to, msg } => Some((to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+    let mut pump = Pump::new(ProtocolConfig {
+        max_inflight: 8,
+        ..cfg(3)
+    });
+    // Site 2 is down and sites 0 and 1 know it.
+    pump.fail(SiteId(2));
+    let detect = pump.run_txn(SiteId(0), Transaction::new(TxnId(1), vec![write(9, 1)]));
+    assert!(
+        !detect.outcome.is_committed(),
+        "first update meets the failure"
+    );
+    assert!(!pump.engine(SiteId(1)).vector().is_up(SiteId(2)));
+
+    // T writes item 4 with up_mask {0, 1}; phase one reaches site 1, whose
+    // ack is still on the wire ...
+    let begin = Command::Begin(Transaction::new(TxnId(2), vec![write(4, 44)]));
+    let mut to_one = sends(pump.engines[0].handle_owned(Input::Control(begin)));
+    assert!(matches!(
+        to_one.as_slice(),
+        [(SiteId(1), Message::CopyUpdate { up_mask: 0b011, .. })]
+    ));
+    let (_, copy_update) = to_one.pop().unwrap();
+    let mut ack = sends(pump.engines[1].handle_owned(Input::Deliver {
+        from: SiteId(0),
+        msg: copy_update,
+    }));
+    assert!(matches!(
+        ack.as_slice(),
+        [(SiteId(0), Message::UpdateAck { ok: true, .. })]
+    ));
+
+    // ... when site 2 runs its whole type-1 control transaction: both
+    // donors format their state before T commits.
+    pump.command_quiet(SiteId(2), Command::Recover);
+    assert!(pump.engine(SiteId(2)).is_up());
+    assert_eq!(pump.observed.data_recovered.last(), Some(&SiteId(2)));
+
+    // T commits on the mask it was given.
+    let (_, update_ack) = ack.pop().unwrap();
+    pump.deliver(SiteId(0), SiteId(1), update_ack);
+    let report = pump.observed.reports.last().unwrap();
+    assert_eq!(
+        (report.txn, report.outcome.is_committed()),
+        (TxnId(2), true)
+    );
+
+    // The participants of the commit fail-locked (4, site 2) ...
+    for s in [0, 1] {
+        assert!(pump
+            .engine(SiteId(s))
+            .faillocks()
+            .is_locked(ItemId(4), SiteId(2)));
+        assert_eq!(pump.engine(SiteId(s)).db().get(4).unwrap().version, 2);
+    }
+    // ... but site 2 holds the old copy, no fail-lock of its own, and
+    // believes its data recovery complete: a read there is stale.
+    let recovered = pump.engine(SiteId(2));
+    assert_eq!(recovered.db().get(4).unwrap().version, 0);
+    assert!(!recovered.faillocks().is_locked(ItemId(4), SiteId(2)));
+    assert_eq!(recovered.own_stale_count(), 0);
+    let stale = pump.run_txn(SiteId(2), Transaction::new(TxnId(3), vec![read(4)]));
+    assert!(stale.outcome.is_committed());
+    assert_eq!(stale.read_results[0].1.version, 0, "ROADMAP item 3");
+}

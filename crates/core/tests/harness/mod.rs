@@ -116,6 +116,23 @@ impl Pump {
         self.drain_deliveries();
     }
 
+    /// Inject a command and drain deliveries WITHOUT firing timers, so a
+    /// test can step a recovery one batch-copier round at a time.
+    pub fn command_quiet(&mut self, site: SiteId, cmd: Command) {
+        let outputs = self.engines[site.index()].handle_owned(Input::Control(cmd));
+        self.absorb(site, outputs);
+        self.drain_deliveries();
+    }
+
+    /// Fire one timer at `site`, drain the deliveries it causes (no other
+    /// timer fires) and return what the engine emitted for it.
+    pub fn fire(&mut self, site: SiteId, timer: TimerId) -> Vec<Output> {
+        let outputs = self.engines[site.index()].handle_owned(Input::Timer(timer));
+        self.absorb(site, outputs.clone());
+        self.drain_deliveries();
+        outputs
+    }
+
     pub fn command(&mut self, site: SiteId, cmd: Command) {
         let outputs = self.engines[site.index()].handle_owned(Input::Control(cmd));
         self.absorb(site, outputs);
@@ -171,6 +188,27 @@ impl Pump {
                     }
                 }
             }
+        }
+    }
+
+    /// The table's per-site counts equal a recount of its bits, at every
+    /// site and for every subject site (`own_stale_count` included).
+    pub fn assert_faillock_counts(&self) {
+        for e in &self.engines {
+            let table = e.faillocks();
+            let items = || (0..table.n_items()).map(miniraid_core::ItemId);
+            for k in (0..table.n_sites()).map(SiteId) {
+                let recount = items().filter(|i| table.is_locked(*i, k)).count() as u32;
+                assert_eq!(
+                    table.count_locked_for(k),
+                    recount,
+                    "count for {k} drifted at {}",
+                    e.id()
+                );
+            }
+            assert_eq!(e.own_stale_count(), table.count_locked_for(e.id()));
+            let bits: u32 = items().map(|i| table.word(i).count_ones()).sum();
+            assert_eq!(table.total_set(), bits, "total drifted at {}", e.id());
         }
     }
 

@@ -99,6 +99,9 @@ fn run_schedule(
                 }
             }
         }
+        // The O(1) stale counts never drift from the bitmap, whatever
+        // mix of commits, clears, snapshots and corrective sets ran.
+        pump.assert_faillock_counts();
     }
     (pump, spec)
 }

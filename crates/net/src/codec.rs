@@ -13,6 +13,7 @@ use miniraid_core::messages::{
     TxnStats, XDecisionRecord,
 };
 use miniraid_core::ops::{Operation, Transaction};
+use miniraid_core::packed::{bits_of, PackedSiteTable};
 use miniraid_core::session::SiteRecord;
 use miniraid_storage::ItemValue;
 
@@ -155,6 +156,51 @@ fn get_items(buf: &mut impl Buf) -> Result<Vec<ItemId>, NetError> {
         out.push(ItemId(buf.get_u32_le()));
     }
     Ok(out)
+}
+
+/// Cap on the item count a `RecoveryInfo` table may declare.
+const MAX_TABLE_ITEMS: usize = 1 << 24;
+
+/// Encode a per-item table of site bitmaps (fail-locks, holders, backups)
+/// as it is packed: in space proportional to its content, not to
+/// `8 × items`.
+///
+/// ```text
+/// items: u32 | all: u64 | some: u64 | one bit set per bit of `some`
+/// ```
+///
+/// `all` holds the site bits set in *every* word (the holder word of a
+/// fully replicated database), `some` those set in some words but not
+/// all (a site with fail-locks); for each bit of `some`, lowest first,
+/// an `items`-bit set follows as `ceil(items / 64)` words, bit `i % 64`
+/// of word `i / 64` ⇔ item `i` has the site's bit. An all-clear table is
+/// 20 bytes whatever its size.
+fn put_site_table(buf: &mut BytesMut, table: &PackedSiteTable) {
+    put_len(buf, table.items() as usize);
+    buf.put_u64_le(table.all());
+    let some = table
+        .sets()
+        .iter()
+        .fold(0, |some, (site, _)| some | 1 << site);
+    buf.put_u64_le(some);
+    for word in table.sets().iter().flat_map(|(_, set)| set) {
+        buf.put_u64_le(*word);
+    }
+}
+
+fn get_site_table(buf: &mut impl Buf) -> Result<PackedSiteTable, NetError> {
+    let items = get_len(buf, MAX_TABLE_ITEMS)?;
+    need(buf, 16)?;
+    let all = buf.get_u64_le();
+    let some = buf.get_u64_le();
+    // The frame must hold every bit set its header declares before any
+    // is allocated.
+    let words = items.div_ceil(64);
+    need(buf, some.count_ones() as usize * words * 8)?;
+    let sets = bits_of(some)
+        .map(|site| (site, (0..words).map(|_| buf.get_u64_le()).collect()))
+        .collect();
+    PackedSiteTable::from_parts(items as u32, all, sets).ok_or(err("malformed site table"))
 }
 
 fn put_operation(buf: &mut BytesMut, op: &Operation) {
@@ -475,11 +521,8 @@ pub fn encode_into(buf: &mut BytesMut, msg: &Message) {
                 buf.put_u64_le(rec.session.0);
                 buf.put_u8(status_code(rec.status));
             }
-            for words in [faillocks, holders, backups] {
-                put_len(buf, words.len());
-                for word in words {
-                    buf.put_u64_le(*word);
-                }
+            for table in [faillocks, holders, backups] {
+                put_site_table(buf, table);
             }
         }
         Message::FailureAnnounce { failed } => {
@@ -793,19 +836,9 @@ pub fn decode(mut buf: &[u8]) -> Result<Message, NetError> {
                 let status = status_from_code(buf.get_u8()).ok_or(err("unknown site status"))?;
                 vector.push(SiteRecord { session, status });
             }
-            let mut word_vecs = Vec::with_capacity(3);
-            for _ in 0..3 {
-                let n = get_len(&mut buf, 1 << 24)?;
-                let mut words = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    need(&buf, 8)?;
-                    words.push(buf.get_u64_le());
-                }
-                word_vecs.push(words);
-            }
-            let backups = word_vecs.pop().expect("three word vectors");
-            let holders = word_vecs.pop().expect("three word vectors");
-            let faillocks = word_vecs.pop().expect("three word vectors");
+            let faillocks = get_site_table(&mut buf)?;
+            let holders = get_site_table(&mut buf)?;
+            let backups = get_site_table(&mut buf)?;
             Message::RecoveryInfo {
                 vector,
                 faillocks,
@@ -1125,9 +1158,9 @@ mod tests {
             },
             Message::RecoveryInfo {
                 vector: vec![record; 3],
-                faillocks: vec![0, 5, u64::MAX],
-                holders: vec![7, 7, 7],
-                backups: vec![0, 1, 4],
+                faillocks: PackedSiteTable::pack(&[0, 5, u64::MAX]),
+                holders: PackedSiteTable::pack(&[7, 7, 7]),
+                backups: PackedSiteTable::pack(&[0, 1, 4]),
             },
             Message::FailureAnnounce {
                 failed: vec![(SiteId(1), SessionNumber(3))],

@@ -8,6 +8,7 @@ use miniraid_core::messages::{
     Command, Message, MigratingRange, TxnOutcome, TxnReport, TxnStats, XDecisionRecord,
 };
 use miniraid_core::ops::{Operation, Transaction};
+use miniraid_core::packed::PackedSiteTable;
 use miniraid_core::session::{SiteRecord, SiteStatus};
 use miniraid_net::codec::{decode, decode_many, encode, encode_batch_into, encode_into};
 use miniraid_storage::ItemValue;
@@ -145,9 +146,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(
                 |(vector, faillocks, holders, backups)| Message::RecoveryInfo {
                     vector,
-                    faillocks,
-                    holders,
-                    backups,
+                    faillocks: PackedSiteTable::pack(&faillocks),
+                    holders: PackedSiteTable::pack(&holders),
+                    backups: PackedSiteTable::pack(&backups),
                 }
             ),
         proptest::collection::vec(
@@ -426,7 +427,143 @@ fn arb_traced_frame() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// A per-item site-bitmap table shaped like the real ones: some site
+/// bits constant across the table (holders of a replicated database),
+/// some sparse (fail-locks), any length — not only multiples of 64.
+fn arb_site_table() -> impl Strategy<Value = PackedSiteTable> {
+    let sparse = (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c)| a & b & c);
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(sparse, 0..200),
+    )
+        .prop_map(|(constant, varying, words)| {
+            let words: Vec<u64> = words
+                .into_iter()
+                .map(|w| (constant & !varying) | (w & varying))
+                .collect();
+            let packed = PackedSiteTable::pack(&words);
+            assert!(packed.words().eq(words), "packing changed the table");
+            packed
+        })
+}
+
+fn arb_recovery_info() -> impl Strategy<Value = Message> {
+    (arb_site_table(), arb_site_table(), arb_site_table()).prop_map(
+        |(faillocks, holders, backups)| Message::RecoveryInfo {
+            vector: vec![
+                SiteRecord {
+                    session: SessionNumber(3),
+                    status: SiteStatus::Up
+                };
+                3
+            ],
+            faillocks,
+            holders,
+            backups,
+        },
+    )
+}
+
+/// A `RecoveryInfo` frame whose fail-lock table header is written by
+/// hand: `items`, `all`, `some`, then `sets` as the bit-set words.
+fn recovery_info_with_table(items: u32, all: u64, some: u64, sets: &[u64]) -> Vec<u8> {
+    let mut raw = vec![10u8]; // TAG_RECOVERY_INFO
+    raw.extend_from_slice(&0u32.to_le_bytes()); // empty session vector
+    raw.extend_from_slice(&items.to_le_bytes());
+    raw.extend_from_slice(&all.to_le_bytes());
+    raw.extend_from_slice(&some.to_le_bytes());
+    for set in sets {
+        raw.extend_from_slice(&set.to_le_bytes());
+    }
+    for _ in 0..2 {
+        raw.extend_from_slice(&[0u8; 20]); // two empty tables
+    }
+    raw
+}
+
+#[test]
+fn recovery_info_costs_what_is_stale_not_what_is_stored() {
+    // The benchmark's fail-recover shape: 100 000 items, 3 sites, full
+    // replication, 65 000 copies fail-locked for one site. The flat
+    // layout shipped 24 B per item (2 400 0xx B per donor).
+    const ITEMS: usize = 100_000;
+    let vector = vec![
+        SiteRecord {
+            session: SessionNumber(2),
+            status: SiteStatus::Up
+        };
+        3
+    ];
+    let mut faillocks = vec![0u64; ITEMS];
+    for word in faillocks.iter_mut().take(65_000) {
+        *word = 0b100;
+    }
+    let msg = Message::RecoveryInfo {
+        vector: vector.clone(),
+        faillocks: PackedSiteTable::pack(&faillocks),
+        holders: PackedSiteTable::pack(&vec![0b111; ITEMS]),
+        backups: PackedSiteTable::pack(&vec![0; ITEMS]),
+    };
+    let encoded = encode(&msg);
+    assert!(encoded.len() <= 64 * 1024, "{} B", encoded.len());
+    assert_eq!(decode(&encoded).expect("decodes"), msg);
+
+    let clear = Message::RecoveryInfo {
+        vector,
+        faillocks: PackedSiteTable::pack(&vec![0; ITEMS]),
+        holders: PackedSiteTable::pack(&vec![0b111; ITEMS]),
+        backups: PackedSiteTable::pack(&vec![0; ITEMS]),
+    };
+    let encoded = encode(&clear);
+    assert!(encoded.len() <= 256, "{} B", encoded.len());
+    assert_eq!(decode(&encoded).expect("decodes"), clear);
+}
+
+#[test]
+fn recovery_info_tables_are_validated_before_they_are_built() {
+    // Well-formed: 70 items, site 1 everywhere, site 0 on items 0 and 69.
+    let good = recovery_info_with_table(70, 0b10, 0b01, &[1, 1 << 5]);
+    match decode(&good).expect("well-formed table decodes") {
+        Message::RecoveryInfo { faillocks, .. } => {
+            let words: Vec<u64> = faillocks.words().collect();
+            assert_eq!(words.len(), 70);
+            assert_eq!((words[0], words[1], words[69]), (0b11, 0b10, 0b11));
+        }
+        other => panic!("decoded {other:?}"),
+    }
+    // Declared item count above the cap (as before: 1 << 24).
+    assert!(decode(&recovery_info_with_table((1 << 24) + 1, 0, 0, &[])).is_err());
+    // A large table whose declared bit sets are not in the frame is
+    // rejected from its header, not after allocating for it.
+    assert!(decode(&recovery_info_with_table(1 << 24, 0, u64::MAX, &[])).is_err());
+    // A bit set past the last item.
+    assert!(decode(&recovery_info_with_table(70, 0, 0b01, &[1, 1 << 6])).is_err());
+    // A site bit declared both constant and varying.
+    assert!(decode(&recovery_info_with_table(70, 0b01, 0b01, &[1, 1])).is_err());
+}
+
 proptest! {
+    #[test]
+    fn recovery_info_tables_roundtrip(msg in arb_recovery_info()) {
+        let encoded = encode(&msg);
+        prop_assert_eq!(decode(&encoded).expect("well-formed message decodes"), msg.clone());
+        // ... and coalesced with other traffic in one frame.
+        let batch = vec![Message::Commit { txn: TxnId(7) }, msg.clone(), msg];
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, &batch);
+        prop_assert_eq!(decode_many(&buf).expect("well-formed batch decodes"), batch);
+    }
+
+    #[test]
+    fn truncated_recovery_info_is_rejected(msg in arb_recovery_info(), cut in 1usize..4096) {
+        // Every field is length-checked and the frame must be consumed
+        // exactly, so no strict prefix is a valid frame.
+        let encoded = encode(&msg);
+        let keep = encoded.len().saturating_sub(cut);
+        prop_assert!(decode(&encoded[..keep]).is_err());
+    }
+
     #[test]
     fn every_message_roundtrips(msg in arb_wire_message()) {
         let encoded = encode(&msg);

@@ -25,6 +25,9 @@ pub struct SiteSample {
     pub up: bool,
     /// `miniraid_site_session` gauge.
     pub session: u64,
+    /// `miniraid_recovery_faillocks_outstanding` gauge: the site's own
+    /// copies still fail-locked (0 when fully recovered).
+    pub stale: u64,
     /// Commit latency p50 in microseconds.
     pub commit_p50_us: u64,
     /// Commit latency p99 in microseconds.
@@ -112,6 +115,7 @@ pub fn parse_site_sample(site: u8, text: &str) -> SiteSample {
         match name {
             "miniraid_site_up" => sample.up = value != 0.0,
             "miniraid_site_session" => sample.session = value as u64,
+            "miniraid_recovery_faillocks_outstanding" => sample.stale = value as u64,
             "miniraid_commit_latency_us" => match label("quantile") {
                 Some("0.5") => sample.commit_p50_us = value as u64,
                 Some("0.99") => sample.commit_p99_us = value as u64,
@@ -162,10 +166,11 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
     let _ = writeln!(out, "{header}");
     let _ = writeln!(
         out,
-        "{:<5} {:<6} {:<8} {:>10} {:>10} {:>12} {:>10} {:>10} {:>8} {:>10}  aborts (Δ)",
+        "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10} {:>8} {:>10}  aborts (Δ)",
         "site",
         "state",
         "session",
+        "stale",
         "p50(µs)",
         "p99(µs)",
         "lockw99(µs)",
@@ -202,10 +207,11 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
         };
         let _ = writeln!(
             out,
-            "{:<5} {:<6} {:<8} {:>10} {:>10} {:>12} {:>10} {:>10.2} {:>8} {:>10}  {}",
+            "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10.2} {:>8} {:>10}  {}",
             s.site,
             if s.up { "up" } else { "DOWN" },
             s.session,
+            s.stale,
             s.commit_p50_us,
             s.commit_p99_us,
             s.lock_wait_p99_us,
@@ -227,13 +233,14 @@ pub fn render_watch_jsonl(round: u64, sample: &SiteSample, prev: Option<&SiteSam
     let mut out = String::with_capacity(256);
     let _ = write!(
         out,
-        "{{\"round\":{round},\"site\":{},\"up\":{},\"session\":{},\
+        "{{\"round\":{round},\"site\":{},\"up\":{},\"session\":{},\"stale\":{},\
          \"commit_p50_us\":{},\"commit_p99_us\":{},\"lock_wait_p99_us\":{},\
          \"txns_committed\":{},\"wal_fsyncs\":{},\"retransmits\":{},\
          \"map_epoch\":{},\"migrating_items\":{},\"copy_installs\":{},\"abort_deltas\":{{",
         sample.site,
         sample.up,
         sample.session,
+        sample.stale,
         sample.commit_p50_us,
         sample.commit_p99_us,
         sample.lock_wait_p99_us,
@@ -263,6 +270,8 @@ mod tests {
 miniraid_site_up{site=\"2\"} 1
 # TYPE miniraid_site_session gauge
 miniraid_site_session{site=\"2\"} 7
+# TYPE miniraid_recovery_faillocks_outstanding gauge
+miniraid_recovery_faillocks_outstanding{site=\"2\"} 41
 # TYPE miniraid_txns_committed counter
 miniraid_txns_committed{site=\"2\"} 40
 # TYPE miniraid_txns_aborted counter
@@ -291,6 +300,7 @@ miniraid_reshard_copy_installs{site=\"2\"} 9
         let s = parse_site_sample(2, EXPO);
         assert!(s.up);
         assert_eq!(s.session, 7);
+        assert_eq!(s.stale, 41);
         assert_eq!(s.commit_p50_us, 120);
         assert_eq!(s.commit_p99_us, 900);
         assert_eq!(s.lock_wait_p99_us, 55);
@@ -348,6 +358,7 @@ miniraid_reshard_copy_installs{site=\"2\"} 9
         prev.copy_installs = 4;
         let table = render_watch("h", std::slice::from_ref(&s), std::slice::from_ref(&prev));
         assert!(table.contains("map/migr"));
+        assert!(table.contains("stale"));
         assert!(table.contains("e3:12"));
         assert!(table.contains("copies+5"));
         // An unmapped site renders a dash, not a zero epoch.
