@@ -1,8 +1,7 @@
 //! A database site as an OS thread: the sans-IO engine plus a real
-//! transport, a mailbox, and a local timer wheel.
+//! transport, a mailbox, and local timer queues.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use miniraid_core::engine::{Input, Output, SiteEngine, TimerId};
@@ -65,21 +64,93 @@ impl ClusterTiming {
     }
 }
 
-struct Armed(Instant, u64, TimerId);
-impl PartialEq for Armed {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1
+/// Number of [`TimerId`] kinds, i.e. of timer queues.
+const TIMER_KINDS: usize = 7;
+
+fn timer_kind(id: &TimerId) -> usize {
+    match id {
+        TimerId::AckTimeout(_) => 0,
+        TimerId::CommitAckTimeout(_) => 1,
+        TimerId::ParticipantTimeout(_) => 2,
+        TimerId::CopierTimeout(_) => 3,
+        TimerId::ReadTimeout(_) => 4,
+        TimerId::RecoveryInfoTimeout(_) => 5,
+        TimerId::BatchCopier => 6,
     }
 }
-impl Eq for Armed {}
-impl PartialOrd for Armed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The site loop's armed timers: one FIFO queue per [`TimerId`] kind.
+/// Every timer of a kind has the same [`ClusterTiming`] duration and the
+/// clock is monotonic, so each queue is sorted by due time as armed; the
+/// next timer to fire is the earliest front, ties broken by arm order.
+///
+/// The engine never cancels a timer (there is no such `Output`); the loop
+/// asks it instead — [`SiteEngine::timer_live`] — and [`Timers::purge`]
+/// drops entries whose wait has ended from the front of each queue.
+/// Transactions complete roughly in the order they armed, so a queue
+/// holds about the waits in flight rather than one corpse per timer armed
+/// during the last timeout, and the loop sleeps until the first deadline
+/// something still depends on.
+#[derive(Default)]
+struct Timers {
+    queues: [VecDeque<(Instant, u64, TimerId)>; TIMER_KINDS],
+    /// Arm order, the tie-breaker between equal deadlines.
+    seq: u64,
+    fired: u64,
+    dropped_dead: u64,
 }
-impl Ord for Armed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0).then(self.1.cmp(&other.1))
+
+impl Timers {
+    fn arm(&mut self, due: Instant, id: TimerId) {
+        self.seq += 1;
+        let queue = &mut self.queues[timer_kind(&id)];
+        debug_assert!(queue.back().is_none_or(|(last, _, _)| *last <= due));
+        queue.push_back((due, self.seq, id));
+    }
+
+    /// Drop dead entries from the front of each queue, stopping at the
+    /// first live one (a dead entry behind it waits its turn: it costs
+    /// memory, not a wake-up).
+    fn purge(&mut self, live: impl Fn(&TimerId) -> bool) {
+        for queue in &mut self.queues {
+            while queue.front().is_some_and(|(_, _, id)| !live(id)) {
+                queue.pop_front();
+                self.dropped_dead += 1;
+            }
+        }
+    }
+
+    /// The queue whose front fires next, with that front's deadline.
+    fn next(&self) -> Option<(usize, Instant)> {
+        self.queues
+            .iter()
+            .enumerate()
+            .filter_map(|(kind, queue)| queue.front().map(|(due, seq, _)| (*due, *seq, kind)))
+            .min()
+            .map(|(due, _, kind)| (kind, due))
+    }
+
+    /// The earliest deadline armed, if any.
+    fn next_due(&self) -> Option<Instant> {
+        self.next().map(|(_, due)| due)
+    }
+
+    /// Take the next timer to fire if it is due at `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<TimerId> {
+        let (kind, due) = self.next()?;
+        if due > now {
+            return None;
+        }
+        self.fired += 1;
+        self.queues[kind].pop_front().map(|(_, _, id)| id)
+    }
+
+    fn clear(&mut self) {
+        self.queues.iter_mut().for_each(VecDeque::clear);
+    }
+
+    fn pending(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -224,7 +295,7 @@ fn discard_outbound(list: &mut Vec<(SiteId, Vec<Message>)>, pool: &mut Vec<Vec<M
 fn fail_durable(
     engine: &mut SiteEngine,
     durable: &mut Option<DurableCtx>,
-    timers: &mut BinaryHeap<Reverse<Armed>>,
+    timers: &mut Timers,
     manager: SiteId,
     outbound: &mut Vec<(SiteId, Vec<Message>)>,
     pool: &mut Vec<Vec<Message>>,
@@ -247,19 +318,21 @@ fn fail_durable(
 }
 
 /// Serve a metrics scrape without touching the engine state machine:
-/// the reply goes straight out on the transport. Transport-layer and
-/// WAL counters are folded into the engine's metrics just before
+/// the reply goes straight out on the transport. Transport-layer, WAL
+/// and timer counters are folded into the engine's metrics just before
 /// rendering.
 fn serve_metrics<T: Transport>(
     engine: &mut SiteEngine,
     transport: &T,
     obs: &Option<SiteObs>,
     durable: &Option<DurableCtx>,
+    timers: &Timers,
     map: &Option<MapStore>,
     from: SiteId,
 ) {
     let stats = transport.stats();
     engine.note_transport(stats.retransmits, stats.dup_drops, stats.reconnects);
+    engine.note_timers(timers.pending() as u64, timers.fired, timers.dropped_dead);
     if let Some(d) = durable {
         let c = d.store.counters();
         engine.note_wal(c.fsyncs(), c.commits(), c.records());
@@ -405,8 +478,7 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
     obs: Option<SiteObs>,
     map: Option<MapStore>,
 ) {
-    let mut timers: BinaryHeap<Reverse<Armed>> = BinaryHeap::new();
-    let mut timer_seq = 0u64;
+    let mut timers = Timers::default();
     let mut out: Vec<Output> = Vec::new();
     // This site's XDecisionLog replica (populated only when it belongs
     // to the designated log group of a sharded topology).
@@ -442,11 +514,38 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
             pending > 0
         };
 
+        // Forget timers nothing waits on any more and fire the due ones
+        // among the rest (firing one can end the wait behind another).
+        let mut now = Instant::now();
+        loop {
+            timers.purge(|id| engine.timer_live(id));
+            let Some(id) = timers.pop_due(now) else {
+                break;
+            };
+            out.clear();
+            engine.handle(Input::Timer(id), &mut out);
+            perform(
+                &mut engine,
+                &transport,
+                manager,
+                &timing,
+                &mut timers,
+                &mut out,
+                &mut durable,
+                &mut outbound,
+                &mut pool,
+            );
+            now = Instant::now();
+        }
+
         // Wait until the next timer deadline (or a polling default),
         // capped by the group-commit linger and by background replay.
+        // After the purge that deadline is one something still waits on:
+        // a site whose transactions complete in time parks until a
+        // message arrives.
         let mut wait = timers
-            .peek()
-            .map(|Reverse(Armed(due, _, _))| due.saturating_duration_since(Instant::now()))
+            .next_due()
+            .map(|due| due.saturating_duration_since(now))
             .unwrap_or(Duration::from_millis(50));
         if let Some(until) = durable.as_ref().and_then(|d| d.linger_until) {
             wait = wait.min(until.saturating_duration_since(Instant::now()));
@@ -467,7 +566,7 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
                 drained = true;
                 match msg {
                     Message::MetricsRequest => {
-                        serve_metrics(&mut engine, &transport, &obs, &durable, &map, from)
+                        serve_metrics(&mut engine, &transport, &obs, &durable, &timers, &map, from)
                     }
                     msg @ (Message::XLogAppend { .. } | Message::XLogQuery { .. }) => {
                         serve_xlog(&transport, &mut xlog, from, msg)
@@ -480,9 +579,15 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
                 }
                 loop {
                     match mailbox.try_recv() {
-                        Ok((from, Message::MetricsRequest)) => {
-                            serve_metrics(&mut engine, &transport, &obs, &durable, &map, from)
-                        }
+                        Ok((from, Message::MetricsRequest)) => serve_metrics(
+                            &mut engine,
+                            &transport,
+                            &obs,
+                            &durable,
+                            &timers,
+                            &map,
+                            from,
+                        ),
                         Ok((
                             from,
                             msg @ (Message::XLogAppend { .. } | Message::XLogQuery { .. }),
@@ -508,30 +613,6 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
                 manager,
                 &timing,
                 &mut timers,
-                &mut timer_seq,
-                &mut out,
-                &mut durable,
-                &mut outbound,
-                &mut pool,
-            );
-        }
-
-        // Fire due timers.
-        let now = Instant::now();
-        while let Some(Reverse(Armed(due, _, _))) = timers.peek() {
-            if *due > now {
-                break;
-            }
-            let Reverse(Armed(_, _, id)) = timers.pop().expect("peeked");
-            out.clear();
-            engine.handle(Input::Timer(id), &mut out);
-            perform(
-                &mut engine,
-                &transport,
-                manager,
-                &timing,
-                &mut timers,
-                &mut timer_seq,
                 &mut out,
                 &mut durable,
                 &mut outbound,
@@ -583,8 +664,7 @@ fn perform<T: Transport>(
     transport: &T,
     manager: SiteId,
     timing: &ClusterTiming,
-    timers: &mut BinaryHeap<Reverse<Armed>>,
-    timer_seq: &mut u64,
+    timers: &mut Timers,
     out: &mut Vec<Output>,
     durable: &mut Option<DurableCtx>,
     outbound: &mut Vec<(SiteId, Vec<Message>)>,
@@ -597,6 +677,7 @@ fn perform<T: Transport>(
     // drain is held until the fsync that covers those records — so
     // durability still precedes every message that announces it.
     let mut persist_error: Option<miniraid_storage::StorageError> = None;
+    let now = Instant::now();
     for output in out.drain(..) {
         if persist_error.is_some() {
             break;
@@ -648,14 +729,7 @@ fn perform<T: Transport>(
                 }
             }
             Output::Send { to, msg } => queue(to, wrap_traced(engine, msg)),
-            Output::SetTimer(id) => {
-                *timer_seq += 1;
-                timers.push(Reverse(Armed(
-                    Instant::now() + timing.duration(id),
-                    *timer_seq,
-                    id,
-                )));
-            }
+            Output::SetTimer(id) => timers.arm(now + timing.duration(id), id),
             Output::Report(report) => {
                 queue(manager, wrap_traced(engine, Message::MgmtReport(report)))
             }
@@ -720,5 +794,138 @@ fn perform<T: Transport>(
             }
             flush_outbound(engine, transport, outbound, pool);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn timing() -> ClusterTiming {
+        ClusterTiming {
+            ack_timeout: Duration::from_millis(30),
+            commit_ack_timeout: Duration::from_millis(30),
+            participant_timeout: Duration::from_millis(100),
+            copier_timeout: Duration::from_millis(20),
+            read_timeout: Duration::from_millis(20),
+            recovery_timeout: Duration::from_millis(50),
+            batch_copier_delay: Duration::from_millis(1),
+        }
+    }
+
+    /// Arm `ids` the way `perform` does, `step` apart, and return the
+    /// `(due, arm order, id)` of each.
+    fn arm_all(
+        timers: &mut Timers,
+        start: Instant,
+        step: Duration,
+        ids: &[TimerId],
+    ) -> Vec<(Instant, usize, TimerId)> {
+        let timing = timing();
+        let mut armed = Vec::new();
+        for (k, id) in ids.iter().enumerate() {
+            let due = start + step * k as u32 + timing.duration(*id);
+            timers.arm(due, *id);
+            armed.push((due, k, *id));
+        }
+        armed
+    }
+
+    #[test]
+    fn fire_order_is_deadline_then_arm_order() {
+        let ids = [
+            TimerId::ParticipantTimeout(TxnId(1)),
+            TimerId::AckTimeout(TxnId(2)),
+            TimerId::BatchCopier,
+            TimerId::CopierTimeout(miniraid_core::ids::ReqId(3)),
+            TimerId::RecoveryInfoTimeout(0),
+            TimerId::CommitAckTimeout(TxnId(2)),
+            TimerId::ReadTimeout(miniraid_core::ids::ReqId(4)),
+            TimerId::AckTimeout(TxnId(5)),
+            TimerId::ParticipantTimeout(TxnId(5)),
+            TimerId::BatchCopier,
+        ];
+        // With all arms at one instant equal durations tie and arm order
+        // decides; 7 ms apart, the durations interleave the kinds.
+        for step in [Duration::ZERO, Duration::from_millis(7)] {
+            let mut timers = Timers::default();
+            let start = Instant::now();
+            let mut expected = arm_all(&mut timers, start, step, &ids);
+            expected.sort_by_key(|(due, seq, _)| (*due, *seq));
+            assert_eq!(timers.pending(), ids.len());
+            assert_eq!(timers.next_due(), Some(expected[0].0));
+
+            let end = start + Duration::from_secs(1);
+            let fired: Vec<TimerId> = std::iter::from_fn(|| timers.pop_due(end)).collect();
+            let expected: Vec<TimerId> = expected.into_iter().map(|(_, _, id)| id).collect();
+            assert_eq!(fired, expected);
+            assert_eq!((timers.pending(), timers.fired), (0, ids.len() as u64));
+        }
+    }
+
+    #[test]
+    fn nothing_fires_before_its_deadline() {
+        let mut timers = Timers::default();
+        let start = Instant::now();
+        arm_all(
+            &mut timers,
+            start,
+            Duration::ZERO,
+            &[TimerId::AckTimeout(TxnId(1))],
+        );
+        assert_eq!(timers.pop_due(start + Duration::from_millis(29)), None);
+        assert_eq!(
+            timers.pop_due(start + Duration::from_millis(30)),
+            Some(TimerId::AckTimeout(TxnId(1)))
+        );
+    }
+
+    #[test]
+    fn purge_drops_dead_fronts_and_stops_at_the_first_live_one() {
+        let mut timers = Timers::default();
+        let ack = |t| TimerId::AckTimeout(TxnId(t));
+        let ids = [
+            ack(1),
+            ack(2),
+            ack(3),
+            ack(4),
+            TimerId::ParticipantTimeout(TxnId(1)),
+        ];
+        arm_all(&mut timers, Instant::now(), Duration::from_millis(1), &ids);
+        // 1, 2 and 4 completed; 3 still waits, so 4 stays queued behind it.
+        let live = |id: &TimerId| *id == ack(3) || matches!(id, TimerId::ParticipantTimeout(_));
+        timers.purge(live);
+        assert_eq!((timers.pending(), timers.dropped_dead), (3, 2));
+        timers.purge(live);
+        assert_eq!(
+            (timers.pending(), timers.dropped_dead),
+            (3, 2),
+            "idempotent"
+        );
+        // Once 3 completes too, its queue empties; the other is untouched.
+        timers.purge(|id| matches!(id, TimerId::ParticipantTimeout(_)));
+        assert_eq!((timers.pending(), timers.dropped_dead), (1, 4));
+        assert_eq!(timers.fired, 0);
+
+        timers.clear();
+        assert_eq!((timers.pending(), timers.next_due()), (0, None));
+    }
+
+    #[test]
+    fn a_rearmed_participant_timeout_keeps_both_entries() {
+        // A redelivered CopyUpdate arms the same id again. While the
+        // transaction is pending both entries are live and stay queued,
+        // as they did in the heap (in the loop, the first to fire ends
+        // the wait and the purge then drops the other).
+        let mut timers = Timers::default();
+        let id = TimerId::ParticipantTimeout(TxnId(9));
+        let start = Instant::now();
+        arm_all(&mut timers, start, Duration::from_millis(5), &[id, id]);
+        timers.purge(|_| true);
+        assert_eq!(timers.pending(), 2);
+        let end = start + Duration::from_secs(1);
+        assert_eq!(timers.pop_due(end), Some(id));
+        assert_eq!(timers.pop_due(end), Some(id));
+        assert_eq!(timers.pop_due(end), None);
     }
 }

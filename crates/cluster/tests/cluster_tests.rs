@@ -152,3 +152,165 @@ fn tcp_cluster_commits() {
     client.terminate_all();
     cluster.join(WAIT);
 }
+
+/// The value of series `name` in a site's exposition text.
+fn series(text: &str, name: &str) -> u64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(name) && l[name.len()..].starts_with('{'))
+        .unwrap_or_else(|| panic!("{name} not exposed"));
+    line.rsplit_once(' ').unwrap().1.parse().unwrap()
+}
+
+/// The site loop's timer queues hold about the waits in flight, however
+/// many timers were armed, and still fire the one that matters on time.
+#[test]
+fn dead_timers_are_dropped_and_live_ones_fire_on_time() {
+    use miniraid_core::error::AbortReason;
+    use miniraid_core::messages::TxnOutcome;
+    use std::time::Instant;
+
+    const N_SITES: u8 = 3;
+    const MAX_INFLIGHT: usize = 8;
+    const CLIENTS: usize = 16;
+    let timeout = Duration::from_millis(300);
+    let timing = ClusterTiming {
+        ack_timeout: timeout,
+        commit_ack_timeout: timeout,
+        // A participant must outwait its coordinator (see `ClusterTiming`).
+        participant_timeout: 2 * timeout,
+        copier_timeout: timeout,
+        read_timeout: timeout,
+        recovery_timeout: timeout,
+        batch_copier_delay: Duration::from_millis(1),
+    };
+    let cfg = ProtocolConfig {
+        max_inflight: MAX_INFLIGHT,
+        two_step_recovery: Some(TwoStepRecovery {
+            threshold: 1.0,
+            batch_size: 20,
+        }),
+        ..config(N_SITES)
+    };
+    let db_size = cfg.db_size;
+    let (cluster, mut client) = Cluster::launch(cfg, timing);
+
+    // Closed loop of update transactions (every one a full 2PC round, so
+    // every one arms four timers), `CLIENTS` outstanding, coordinators in
+    // turn among `sites`.
+    type Client = miniraid_cluster::ManagingClient<
+        miniraid_net::ChannelTransport,
+        miniraid_net::ChannelMailbox,
+    >;
+    let submit = |client: &mut Client, sites: &[u8]| {
+        let id = client.next_txn_id();
+        let item = |k: u64| ItemId(((id.0 * 7 + k * 3) % db_size as u64) as u32);
+        let ops = vec![
+            Operation::Write(item(0), id.0),
+            Operation::Write(item(1), id.0),
+        ];
+        let site = SiteId(sites[id.0 as usize % sites.len()]);
+        client.submit_txn(site, Transaction::new(id, ops));
+    };
+    let all = [0u8, 1, 2];
+    for _ in 0..CLIENTS {
+        submit(&mut client, &all);
+    }
+    // 1.5 s is five coordinator-timeout lifetimes: the timers of most of
+    // the run have come due by the end, dead.
+    let start = Instant::now();
+    let mut committed = 0usize;
+    while start.elapsed() < 5 * timeout {
+        for report in client.drain_reports() {
+            assert!(report.outcome.is_committed(), "{:?}", report.outcome);
+            committed += 1;
+            submit(&mut client, &all);
+        }
+        std::thread::yield_now();
+    }
+    assert!(committed > 100, "load ran: {committed} commits");
+    // Scraped under load: the queues hold live waits (at most four per
+    // in-flight transaction a site coordinates or takes part in), not
+    // the timers of 1.5 s of commits.
+    for s in 0..N_SITES {
+        let text = client.fetch_metrics(SiteId(s), WAIT).unwrap();
+        let pending = series(&text, "miniraid_timers_pending");
+        let dropped = series(&text, "miniraid_timers_dropped_dead_total");
+        assert!(
+            pending <= 4 * MAX_INFLIGHT as u64 * N_SITES as u64,
+            "site {s}: {pending} timers pending after {committed} commits"
+        );
+        assert!(dropped > 0, "site {s} dropped no dead timer");
+    }
+
+    // Fail site 2 under the same load. Every outstanding transaction
+    // needs its ack, so nothing finishes until a survivor's timeout
+    // excludes it: the first abort that blames a participant marks that
+    // moment. (A timer armed just before `failed_at` may fire that much
+    // before `failed_at + timeout`, hence the slack below.)
+    let failed_at = Instant::now();
+    client.fail(SiteId(2));
+    let survivors = [0u8, 1];
+    let mut excluded_after = None;
+    while excluded_after.is_none() {
+        assert!(failed_at.elapsed() < WAIT, "the failure was never detected");
+        for report in client.drain_reports() {
+            if report.outcome == TxnOutcome::Aborted(AbortReason::ParticipantFailed) {
+                excluded_after.get_or_insert(failed_at.elapsed());
+            }
+            if report.coordinator != SiteId(2) {
+                submit(&mut client, &survivors);
+            }
+        }
+        std::thread::yield_now();
+    }
+    let excluded_after = excluded_after.unwrap();
+    assert!(
+        excluded_after >= timeout - Duration::from_millis(10),
+        "excluded after {excluded_after:?}, before the {timeout:?} timeout"
+    );
+    assert!(
+        excluded_after <= timeout + Duration::from_millis(100),
+        "excluded after {excluded_after:?}, long after the {timeout:?} timeout"
+    );
+
+    // Let the survivors' load run out (and their participant timeouts for
+    // what site 2 was coordinating fire), bring site 2 back, and check
+    // that the run converged: every copy of every item readable and equal.
+    let quiet = Instant::now();
+    while quiet.elapsed() < 2 * timeout {
+        if !client.drain_reports().is_empty() {
+            continue;
+        }
+        std::thread::yield_now();
+    }
+    // A survivor that had prepared a transaction site 2 coordinated
+    // cannot know its outcome and marks its own copy suspect; where both
+    // did, only a later write makes the item readable again. Write them
+    // all once, as continued load would.
+    for item in 0..db_size {
+        let id = client.next_txn_id();
+        let write = Transaction::new(id, vec![Operation::Write(ItemId(item), id.0)]);
+        let report = client.run_txn(SiteId(0), write, WAIT).unwrap();
+        assert!(report.outcome.is_committed(), "{:?}", report.outcome);
+    }
+    client.recover(SiteId(2), WAIT).unwrap();
+    client.wait_data_recovered(WAIT).unwrap();
+    for item in 0..db_size {
+        let mut copies = Vec::new();
+        for s in 0..N_SITES {
+            let id = client.next_txn_id();
+            let read = Transaction::new(id, vec![Operation::Read(ItemId(item))]);
+            let report = client.run_txn(SiteId(s), read, WAIT).unwrap();
+            assert!(report.outcome.is_committed());
+            copies.push(report.read_results[0].1);
+        }
+        assert!(
+            copies.iter().all(|c| *c == copies[0]),
+            "item {item}: {copies:?}"
+        );
+    }
+
+    client.terminate_all();
+    cluster.join(WAIT);
+}

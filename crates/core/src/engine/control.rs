@@ -15,7 +15,7 @@ use crate::session::{SiteRecord, SiteStatus};
 use crate::trace::EventKind;
 use miniraid_storage::ItemValue;
 
-use super::{Output, RecoveryState, RefreshMode, SiteEngine, TimerId, Work};
+use super::{Output, RecoveryState, RefreshMode, SiteEngine, TimerId, Work, TIMER_LIVE};
 
 impl SiteEngine {
     // ---- type 1: recovery ------------------------------------------------
@@ -332,12 +332,7 @@ impl SiteEngine {
 
     /// No `RecoveryInfo` arrived: ask the next candidate, or give up.
     pub(super) fn on_recovery_timeout(&mut self, attempt: u32, out: &mut Vec<Output>) {
-        let Some(recovery) = self.recovery.as_ref() else {
-            return;
-        };
-        if recovery.attempt != attempt {
-            return; // stale timer from an earlier attempt
-        }
+        let recovery = self.recovery.as_ref().expect(TIMER_LIVE);
         let next = attempt + 1;
         if (next as usize) < recovery.candidates.len() {
             let target = recovery.candidates[next as usize];

@@ -32,7 +32,7 @@ use crate::ops::Transaction;
 use crate::trace::EventKind;
 use miniraid_storage::ItemValue;
 
-use super::{CoordTxn, Output, SiteEngine, TimerId, Work};
+use super::{CoordTxn, Output, SiteEngine, TimerId, Work, TIMER_LIVE};
 
 /// Phase of a coordinated transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -487,12 +487,7 @@ impl SiteEngine {
     /// Some participant never acknowledged phase one: announce its
     /// failure and abort (paper Appendix A.1, phase-one else branch).
     pub(super) fn on_ack_timeout(&mut self, txn: TxnId, out: &mut Vec<Output>) {
-        let Some(state) = self.coords.get(&txn) else {
-            return;
-        };
-        if state.phase != CoordPhase::WaitAcks || state.waiting.is_empty() {
-            return;
-        }
+        let state = self.coords.get(&txn).expect(TIMER_LIVE);
         let failed: Vec<SiteId> = state.waiting.iter().copied().collect();
         let acked: Vec<SiteId> = state
             .participants
@@ -512,12 +507,7 @@ impl SiteEngine {
     /// from all participating sites then run control type 2 transaction
     /// ... commit database data items").
     pub(super) fn on_commit_ack_timeout(&mut self, txn: TxnId, out: &mut Vec<Output>) {
-        let Some(state) = self.coords.get_mut(&txn) else {
-            return;
-        };
-        if state.phase != CoordPhase::WaitCommitAcks || state.waiting.is_empty() {
-            return;
-        }
+        let state = self.coords.get_mut(&txn).expect(TIMER_LIVE);
         state.phase2_failure = true;
         let failed: Vec<SiteId> = state.waiting.iter().copied().collect();
         // The CopyUpdate's up_mask still shows the failed sites up, so

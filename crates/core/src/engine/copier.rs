@@ -17,7 +17,7 @@ use miniraid_storage::ItemValue;
 
 use crate::ids::TxnId;
 
-use super::{CoordPhase, Output, SiteEngine, Work};
+use super::{CoordPhase, Output, SiteEngine, Work, TIMER_LIVE};
 
 /// Log id for a refresh batch: the freshest version it carries.
 fn refresh_log_txn(writes: &[(ItemId, ItemValue)]) -> TxnId {
@@ -206,19 +206,13 @@ impl SiteEngine {
     /// The copier's target never answered: it has failed. Announce and —
     /// for a transaction copier — abort (paper Appendix A.1).
     pub(super) fn on_copier_timeout(&mut self, req: ReqId, out: &mut Vec<Output>) {
-        if let Some(owner) = self.req_owner.get(&req).copied() {
-            let removed = self
-                .coords
-                .get_mut(&owner)
-                .and_then(|state| state.pending_copiers.remove(&req));
-            if let Some((target, _items)) = removed {
-                self.req_owner.remove(&req);
-                self.announce_failures(&[target], out);
-                self.report_abort_active(owner, AbortReason::CopierTargetFailed, out);
-            }
-            return;
-        }
-        if let Some((target, _items)) = self.standalone_copiers.remove(&req) {
+        if let Some(owner) = self.req_owner.remove(&req) {
+            let state = self.coords.get_mut(&owner).expect(TIMER_LIVE);
+            let (target, _items) = state.pending_copiers.remove(&req).expect(TIMER_LIVE);
+            self.announce_failures(&[target], out);
+            self.report_abort_active(owner, AbortReason::CopierTargetFailed, out);
+        } else {
+            let (target, _items) = self.standalone_copiers.remove(&req).expect(TIMER_LIVE);
             self.announce_failures(&[target], out);
             self.continue_batch_recovery(out);
         }
@@ -416,16 +410,9 @@ impl SiteEngine {
     /// quorum is still reachable.
     pub(super) fn on_read_timeout(&mut self, req: ReqId, out: &mut Vec<Output>) {
         let quorum = self.config().strategy == ReplicationStrategy::MajorityQuorum;
-        let Some(owner) = self.req_owner.get(&req).copied() else {
-            return;
-        };
-        let Some(state) = self.coords.get_mut(&owner) else {
-            return;
-        };
-        let Some((target, _items)) = state.pending_reads.remove(&req) else {
-            return;
-        };
-        self.req_owner.remove(&req);
+        let owner = self.req_owner.remove(&req).expect(TIMER_LIVE);
+        let state = self.coords.get_mut(&owner).expect(TIMER_LIVE);
+        let (target, _items) = state.pending_reads.remove(&req).expect(TIMER_LIVE);
         if quorum {
             let got = state.quorum_got;
             let needed = state.quorum_needed;

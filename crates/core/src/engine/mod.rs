@@ -15,6 +15,9 @@
 //!
 //! Timer handling is *stale-safe*: the engine never needs timers
 //! cancelled; a fired timer whose condition no longer holds is ignored.
+//! [`SiteEngine::timer_live`] is the one statement of those conditions:
+//! `handle` consults it before dispatching a timer, and a driver may
+//! consult it to forget armed timers nothing waits on any more.
 
 mod control;
 mod coordinator;
@@ -42,6 +45,11 @@ pub use self::coordinator::CoordPhase;
 /// re-acking redelivered `Commit` messages. Retransmission windows are
 /// short (a few round trips), so a small bound suffices.
 const RECENT_PART_CAP: usize = 128;
+
+/// `expect` message of the timer handlers: they run only behind
+/// `handle_timer`'s [`SiteEngine::timer_live`] guard, which established
+/// that the state they look up is there.
+const TIMER_LIVE: &str = "handle_timer checked timer_live";
 
 /// An event fed into the engine by its driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -503,6 +511,17 @@ impl SiteEngine {
         self.metrics.wal_records = records;
     }
 
+    /// Fold the driving loop's timer accounting into the engine metrics
+    /// so it appears in the site's exposition: timers armed and still
+    /// queued (a gauge), and cumulative counts of timers fired and of
+    /// timers dropped dead (see [`SiteEngine::timer_live`]). Values are
+    /// absolute; the driving loop calls this before rendering metrics.
+    pub fn note_timers(&mut self, pending: u64, fired: u64, dropped_dead: u64) {
+        self.metrics.timers_pending = pending;
+        self.metrics.timers_fired = fired;
+        self.metrics.timers_dropped_dead = dropped_dead;
+    }
+
     /// Remember a committed participant decision for duplicate-`Commit`
     /// re-acking, evicting the oldest entry beyond the bound.
     pub(crate) fn note_recent_participant(&mut self, txn: TxnId, coordinator: SiteId) {
@@ -574,12 +593,7 @@ impl SiteEngine {
                 self.metrics.msgs_received += 1;
                 self.handle_message(from, msg, out);
             }
-            Input::Timer(id) => {
-                if !matches!(self.status(), SiteStatus::Up | SiteStatus::WaitingToRecover) {
-                    return;
-                }
-                self.handle_timer(id, out);
-            }
+            Input::Timer(id) => self.handle_timer(id, out),
         }
     }
 
@@ -853,7 +867,50 @@ impl SiteEngine {
         }
     }
 
+    /// True exactly when `Input::Timer(id)` would do something: the wait
+    /// the timer was armed for is still outstanding. The handlers rely on
+    /// it instead of re-checking (they are reached only through
+    /// `handle_timer`), so a driver that drops timers for which this is
+    /// false changes nothing the engine can observe.
+    pub fn timer_live(&self, id: &TimerId) -> bool {
+        // A down or terminating site processes no timers.
+        if !matches!(self.status(), SiteStatus::Up | SiteStatus::WaitingToRecover) {
+            return false;
+        }
+        let coord_waits = |txn: &TxnId, phase: CoordPhase| {
+            self.coords
+                .get(txn)
+                .is_some_and(|s| s.phase == phase && !s.waiting.is_empty())
+        };
+        match id {
+            TimerId::AckTimeout(txn) => coord_waits(txn, CoordPhase::WaitAcks),
+            TimerId::CommitAckTimeout(txn) => coord_waits(txn, CoordPhase::WaitCommitAcks),
+            TimerId::ParticipantTimeout(txn) => self.pending.contains_key(txn),
+            // A transaction's copier, or a standalone (batch) one.
+            TimerId::CopierTimeout(req) => match self.req_owner.get(req) {
+                Some(owner) => self
+                    .coords
+                    .get(owner)
+                    .is_some_and(|s| s.pending_copiers.contains_key(req)),
+                None => self.standalone_copiers.contains_key(req),
+            },
+            TimerId::ReadTimeout(req) => self
+                .req_owner
+                .get(req)
+                .and_then(|owner| self.coords.get(owner))
+                .is_some_and(|s| s.pending_reads.contains_key(req)),
+            TimerId::RecoveryInfoTimeout(attempt) => self
+                .recovery
+                .as_ref()
+                .is_some_and(|r| r.attempt == *attempt),
+            TimerId::BatchCopier => matches!(self.refresh, RefreshMode::Batch { .. }),
+        }
+    }
+
     fn handle_timer(&mut self, id: TimerId, out: &mut Vec<Output>) {
+        if !self.timer_live(&id) {
+            return;
+        }
         match id {
             TimerId::AckTimeout(txn) => self.on_ack_timeout(txn, out),
             TimerId::CommitAckTimeout(txn) => self.on_commit_ack_timeout(txn, out),

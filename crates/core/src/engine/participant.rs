@@ -5,7 +5,7 @@ use crate::messages::Message;
 use crate::trace::EventKind;
 use miniraid_storage::ItemValue;
 
-use super::{Output, PendingTxn, SiteEngine, TimerId, Work};
+use super::{Output, PendingTxn, SiteEngine, TimerId, Work, TIMER_LIVE};
 
 impl SiteEngine {
     /// Phase one: the coordinator ships the transaction's write set.
@@ -116,9 +116,7 @@ impl SiteEngine {
     /// in line. If the transaction actually aborted, the refresh copies
     /// an identical value and clears the bits — harmless.
     pub(super) fn on_participant_timeout(&mut self, txn: TxnId, out: &mut Vec<Output>) {
-        let Some(pending) = self.pending.remove(&txn) else {
-            return; // resolved in time; stale timer
-        };
+        let pending = self.pending.remove(&txn).expect(TIMER_LIVE);
         let coordinator = pending.coordinator;
         self.announce_failures(&[coordinator], out);
         if self.config.fail_locks_enabled {

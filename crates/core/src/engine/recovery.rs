@@ -18,9 +18,6 @@ impl SiteEngine {
     /// A batch-copier round fires: proactively refresh up to
     /// `batch_size` stale items.
     pub(super) fn on_batch_copier(&mut self, out: &mut Vec<Output>) {
-        let RefreshMode::Batch { .. } = self.refresh else {
-            return; // stale timer
-        };
         self.refresh = RefreshMode::Batch { armed: false };
         if !self.standalone_copiers.is_empty() {
             return; // a round is already in flight

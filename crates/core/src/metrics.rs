@@ -144,6 +144,16 @@ pub struct EngineMetrics {
     pub wal_commit_records: u64,
     /// REDO WAL records of any kind appended.
     pub wal_records: u64,
+    /// Timers armed in the driving loop and neither fired nor dropped yet
+    /// (a gauge; threaded deployments only, folded in via `note_timers`).
+    pub timers_pending: u64,
+    /// Timers that came due while something still waited on them and
+    /// were handed to the engine.
+    pub timers_fired: u64,
+    /// Timers the driving loop dropped unfired because the engine
+    /// reported them dead (`SiteEngine::timer_live`): the wait they
+    /// guarded had already ended.
+    pub timers_dropped_dead: u64,
 }
 
 impl EngineMetrics {

@@ -34,6 +34,9 @@ pub struct Pump {
     /// (real drivers additionally give participant timeouts longer
     /// durations than coordinator timeouts).
     timers: VecDeque<(SiteId, TimerId)>,
+    /// Every timer any engine ever armed, fired or not (see
+    /// `assert_dead_timers_are_noops`).
+    armed: Vec<(SiteId, TimerId)>,
     pub observed: Observed,
     /// Messages delivered in total (for traffic assertions).
     pub delivered: usize,
@@ -61,6 +64,7 @@ impl Pump {
             engines,
             queue: VecDeque::new(),
             timers: VecDeque::new(),
+            armed: Vec::new(),
             observed: Observed::default(),
             delivered: 0,
         }
@@ -70,7 +74,12 @@ impl Pump {
         for out in outputs {
             match out {
                 Output::Send { to, msg } => self.queue.push_back((to, site, msg)),
-                Output::SetTimer(id) => self.timers.push_back((site, id)),
+                Output::SetTimer(id) => {
+                    self.timers.push_back((site, id));
+                    if !self.armed.contains(&(site, id)) {
+                        self.armed.push((site, id));
+                    }
+                }
                 Output::Report(r) => self.observed.reports.push(r),
                 Output::BecameOperational { .. } => self.observed.became_operational.push(site),
                 Output::DataRecoveryComplete => self.observed.data_recovered.push(site),
@@ -85,6 +94,32 @@ impl Pump {
             self.delivered += 1;
             let outputs = self.engines[to.index()].handle_owned(Input::Deliver { from, msg });
             self.absorb(to, outputs);
+            self.assert_dead_timers_are_noops(to);
+        }
+    }
+
+    /// `timer_live` is exact in the direction a driver relies on: every
+    /// timer `site` ever armed that it now reports dead is a no-op when
+    /// fired — no output, no counter moved, status unchanged — so
+    /// dropping it unfired cannot be observed. Checked after every input
+    /// the pump feeds.
+    fn assert_dead_timers_are_noops(&mut self, site: SiteId) {
+        let engine = &mut self.engines[site.index()];
+        for (_, id) in self.armed.iter().filter(|(s, _)| *s == site) {
+            if engine.timer_live(id) {
+                continue;
+            }
+            let before = (*engine.metrics(), engine.status());
+            let outputs = engine.handle_owned(Input::Timer(*id));
+            assert!(
+                outputs.is_empty(),
+                "dead {id:?} at {site} emitted {outputs:?}"
+            );
+            assert_eq!(
+                (*engine.metrics(), engine.status()),
+                before,
+                "dead {id:?} at {site}"
+            );
         }
     }
 
@@ -98,6 +133,7 @@ impl Pump {
                 Some((site, id)) => {
                     let outputs = self.engines[site.index()].handle_owned(Input::Timer(id));
                     self.absorb(site, outputs);
+                    self.assert_dead_timers_are_noops(site);
                 }
                 None => break,
             }
@@ -136,6 +172,7 @@ impl Pump {
     pub fn command(&mut self, site: SiteId, cmd: Command) {
         let outputs = self.engines[site.index()].handle_owned(Input::Control(cmd));
         self.absorb(site, outputs);
+        self.assert_dead_timers_are_noops(site);
         self.settle();
     }
 

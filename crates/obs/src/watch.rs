@@ -6,8 +6,9 @@
 //! handful of health-relevant series back out, and renders a refreshing
 //! table: liveness and session epoch, commit-latency and lock-wait
 //! quantiles, abort deltas by reason since the previous round, fsyncs
-//! per committed transaction, and reliable-layer retransmits. A `--jsonl`
-//! mode emits one machine-readable line per site per round instead.
+//! per committed transaction, reliable-layer retransmits, and the timers
+//! queued in the site loop. A `--jsonl` mode emits one machine-readable
+//! line per site per round instead.
 //!
 //! Parsing is deliberately tolerant: a series that is absent (e.g. no
 //! histograms because the site runs without a hub) reads as zero, so the
@@ -42,6 +43,10 @@ pub struct SiteSample {
     pub wal_fsyncs: u64,
     /// Cumulative reliable-transport retransmissions.
     pub retransmits: u64,
+    /// `miniraid_timers_pending` gauge: timers queued in the site loop
+    /// (about the in-flight waits; `rate × timeout` would mean the loop
+    /// is carrying dead ones again).
+    pub timers_pending: u64,
     /// `miniraid_reshard_map_epoch` gauge: the installed shard-map
     /// epoch (0 when the site runs unmapped).
     pub map_epoch: u64,
@@ -132,6 +137,7 @@ pub fn parse_site_sample(site: u8, text: &str) -> SiteSample {
             }
             "miniraid_wal_fsyncs" => sample.wal_fsyncs = value as u64,
             "miniraid_transport_retransmits" => sample.retransmits = value as u64,
+            "miniraid_timers_pending" => sample.timers_pending = value as u64,
             "miniraid_reshard_map_epoch" => sample.map_epoch = value as u64,
             "miniraid_reshard_migrating_items" => sample.migrating_items = value as u64,
             "miniraid_reshard_copy_installs" => sample.copy_installs = value as u64,
@@ -166,7 +172,7 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
     let _ = writeln!(out, "{header}");
     let _ = writeln!(
         out,
-        "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10} {:>8} {:>10}  aborts (Δ)",
+        "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10} {:>8} {:>7} {:>10}  aborts (Δ)",
         "site",
         "state",
         "session",
@@ -177,6 +183,7 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
         "commits",
         "fsync/txn",
         "rexmit",
+        "timers",
         "map/migr",
     );
     for s in samples {
@@ -207,7 +214,7 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
         };
         let _ = writeln!(
             out,
-            "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10.2} {:>8} {:>10}  {}",
+            "{:<5} {:<6} {:<8} {:>8} {:>10} {:>10} {:>12} {:>10} {:>10.2} {:>8} {:>7} {:>10}  {}",
             s.site,
             if s.up { "up" } else { "DOWN" },
             s.session,
@@ -218,6 +225,7 @@ pub fn render_watch(header: &str, samples: &[SiteSample], prev: &[SiteSample]) -
             s.txns_committed,
             s.fsyncs_per_txn(),
             s.retransmits,
+            s.timers_pending,
             reshard,
             delta_str
         );
@@ -236,7 +244,7 @@ pub fn render_watch_jsonl(round: u64, sample: &SiteSample, prev: Option<&SiteSam
         "{{\"round\":{round},\"site\":{},\"up\":{},\"session\":{},\"stale\":{},\
          \"commit_p50_us\":{},\"commit_p99_us\":{},\"lock_wait_p99_us\":{},\
          \"txns_committed\":{},\"wal_fsyncs\":{},\"retransmits\":{},\
-         \"map_epoch\":{},\"migrating_items\":{},\"copy_installs\":{},\"abort_deltas\":{{",
+         \"timers_pending\":{},\"map_epoch\":{},\"migrating_items\":{},\"copy_installs\":{},\"abort_deltas\":{{",
         sample.site,
         sample.up,
         sample.session,
@@ -247,6 +255,7 @@ pub fn render_watch_jsonl(round: u64, sample: &SiteSample, prev: Option<&SiteSam
         sample.txns_committed,
         sample.wal_fsyncs,
         sample.retransmits,
+        sample.timers_pending,
         sample.map_epoch,
         sample.migrating_items,
         sample.copy_installs,
@@ -281,6 +290,8 @@ miniraid_txns_aborted{site=\"2\",reason=\"participant_failed\"} 1
 miniraid_wal_fsyncs{site=\"2\"} 10
 # TYPE miniraid_transport_retransmits counter
 miniraid_transport_retransmits{site=\"2\"} 5
+# TYPE miniraid_timers_pending gauge
+miniraid_timers_pending{site=\"2\"} 17
 # TYPE miniraid_commit_latency_us summary
 miniraid_commit_latency_us{site=\"2\",quantile=\"0.5\"} 120
 miniraid_commit_latency_us{site=\"2\",quantile=\"0.9\"} 300
@@ -307,6 +318,7 @@ miniraid_reshard_copy_installs{site=\"2\"} 9
         assert_eq!(s.txns_committed, 40);
         assert_eq!(s.wal_fsyncs, 10);
         assert_eq!(s.retransmits, 5);
+        assert_eq!(s.timers_pending, 17);
         assert_eq!(s.aborts_total(), 4);
         assert!((s.fsyncs_per_txn() - 0.25).abs() < 1e-9);
         assert_eq!(s.map_epoch, 3);
@@ -359,6 +371,7 @@ miniraid_reshard_copy_installs{site=\"2\"} 9
         let table = render_watch("h", std::slice::from_ref(&s), std::slice::from_ref(&prev));
         assert!(table.contains("map/migr"));
         assert!(table.contains("stale"));
+        assert!(table.contains("timers"));
         assert!(table.contains("e3:12"));
         assert!(table.contains("copies+5"));
         // An unmapped site renders a dash, not a zero epoch.

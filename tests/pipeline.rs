@@ -22,6 +22,8 @@ struct Pump {
     engines: Vec<SiteEngine>,
     queue: VecDeque<(SiteId, Input)>,
     timers: VecDeque<(SiteId, TimerId)>,
+    /// Every timer any engine ever armed, fired or not (see `input`).
+    armed: Vec<(SiteId, TimerId)>,
     reports: Vec<TxnReport>,
     /// Per-site apply history: one `HistoryOp` per persisted write, in
     /// the order the site applied them.
@@ -43,6 +45,7 @@ impl Pump {
             engines,
             queue: VecDeque::new(),
             timers: VecDeque::new(),
+            armed: Vec::new(),
             reports: Vec::new(),
             histories: (0..n).map(|_| Vec::new()).collect(),
         }
@@ -54,7 +57,12 @@ impl Pump {
                 Output::Send { to, msg } => {
                     self.queue.push_back((to, Input::Deliver { from: at, msg }));
                 }
-                Output::SetTimer(id) => self.timers.push_back((at, id)),
+                Output::SetTimer(id) => {
+                    self.timers.push_back((at, id));
+                    if !self.armed.contains(&(at, id)) {
+                        self.armed.push((at, id));
+                    }
+                }
                 Output::Report(report) => self.reports.push(report),
                 Output::Persist { txn, writes, .. } => {
                     self.histories[at.index()].extend(writes.iter().map(|(item, _)| HistoryOp {
@@ -68,9 +76,24 @@ impl Pump {
         }
     }
 
+    /// Feed one input, then check that `timer_live` is exact in the
+    /// direction a driver relies on: every timer the site ever armed that
+    /// it now reports dead is a no-op when fired — no output, no counter
+    /// moved, status unchanged — with up to `max_inflight` transactions
+    /// in every phase at once.
     fn input(&mut self, site: SiteId, input: Input) {
         let out = self.engines[site.index()].handle_owned(input);
         self.collect(site, out);
+        let engine = &mut self.engines[site.index()];
+        for (_, id) in self.armed.iter().filter(|(s, _)| *s == site) {
+            if engine.timer_live(id) {
+                continue;
+            }
+            let before = (*engine.metrics(), engine.status());
+            let out = engine.handle_owned(Input::Timer(*id));
+            assert!(out.is_empty(), "dead {id:?} at {site} emitted {out:?}");
+            assert_eq!((*engine.metrics(), engine.status()), before);
+        }
     }
 
     fn begin(&mut self, site: SiteId, txn: Transaction) {
