@@ -341,6 +341,16 @@ fn serve_metrics<T: Transport>(
         Some(obs) => obs.render(engine),
         None => render_plain(engine),
     };
+    // Only the TCP mailbox wakes on sockets, and a scrape that arrived
+    // over one has woken it at least once.
+    if stats.tcp_wakeups > 0 {
+        text.push_str(&miniraid_obs::expo::render_tcp(
+            engine.id(),
+            stats.tcp_wakeups,
+            stats.tcp_reads,
+            stats.tcp_msgs_in,
+        ));
+    }
     if let Some(store) = map {
         text.push_str(&miniraid_obs::expo::render_reshard(
             engine.id(),

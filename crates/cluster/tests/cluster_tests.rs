@@ -241,6 +241,10 @@ fn dead_timers_are_dropped_and_live_ones_fire_on_time() {
             "site {s}: {pending} timers pending after {committed} commits"
         );
         assert!(dropped > 0, "site {s} dropped no dead timer");
+        assert!(
+            !text.contains("miniraid_tcp_"),
+            "a channel site has no sockets"
+        );
     }
 
     // Fail site 2 under the same load. Every outstanding transaction

@@ -10,6 +10,8 @@
 //! * an in-process [`channel`] transport (crossbeam channels, one Unix
 //!   process — exactly the paper's mini-RAID deployment shape),
 //! * a [`tcp`] transport over `std::net` for multi-process deployments,
+//!   whose mailbox waits on its own sockets (one `ppoll`, declared in the
+//!   crate's one foreign-call module),
 //! * a [`delay`] decorator injecting a fixed per-message latency (the
 //!   paper measured 9 ms per intersite communication),
 //! * a [`fault`] decorator injecting seeded drop/duplicate/delay/
@@ -24,6 +26,7 @@ pub mod channel;
 pub mod codec;
 pub mod delay;
 pub mod fault;
+mod ppoll;
 pub mod reliable;
 pub mod tcp;
 pub mod transport;

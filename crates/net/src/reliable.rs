@@ -400,7 +400,7 @@ impl<T: Transport + Sync> Transport for ReliableTransport<T> {
         TransportStats {
             retransmits: st.retransmits,
             dup_drops: st.dup_drops,
-            reconnects: 0,
+            ..TransportStats::default()
         }
         .merge(self.shared.inner.stats())
     }

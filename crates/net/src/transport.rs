@@ -54,6 +54,13 @@ pub struct TransportStats {
     pub dup_drops: u64,
     /// TCP reconnect attempts after a peer connection died.
     pub reconnects: u64,
+    /// Times the TCP mailbox's `ppoll` returned with a socket ready.
+    pub tcp_wakeups: u64,
+    /// `read` calls the TCP mailbox made on accepted connections.
+    pub tcp_reads: u64,
+    /// Messages the TCP mailbox decoded; over `tcp_wakeups`, the
+    /// batching one wake-up buys.
+    pub tcp_msgs_in: u64,
 }
 
 impl TransportStats {
@@ -63,6 +70,9 @@ impl TransportStats {
             retransmits: self.retransmits + other.retransmits,
             dup_drops: self.dup_drops + other.dup_drops,
             reconnects: self.reconnects + other.reconnects,
+            tcp_wakeups: self.tcp_wakeups + other.tcp_wakeups,
+            tcp_reads: self.tcp_reads + other.tcp_reads,
+            tcp_msgs_in: self.tcp_msgs_in + other.tcp_msgs_in,
         }
     }
 }
