@@ -1,17 +1,14 @@
 //! Group-commit WAL benchmark: durable vs in-memory throughput, fsyncs
 //! and allocations per committed transaction.
 //!
-//! Sweeps `max_inflight` over {1, 4, 8} across three storage modes on a
+//! Sweeps `max_inflight` over {1, 4, 8} across two storage modes on a
 //! zero-latency channel cluster (so the fsync cost, not the intersite
 //! latency, dominates the durable numbers):
 //!
 //! * `inmem` — no durable store at all (upper bound);
-//! * `durable_single` — `group_commit_batch = 1`, `linger = 0`: every
-//!   event-loop drain that appended a commit record fsyncs, the
-//!   pre-group-commit one-fsync-per-commit discipline;
-//! * `durable_group` — the default group commit (batch 8, 500 µs
-//!   linger): one fsync covers a batch of commit records and the
-//!   participant ACKs held behind it.
+//! * `durable` — the REDO WAL with group commit: every event-loop drain
+//!   that appended ends with one fsync covering all its commit records,
+//!   before the drain's messages (participant ACKs among them) leave.
 //!
 //! A counting global allocator reports `allocs_per_committed_txn`
 //! (process-wide, all site threads, measured from first submission to
@@ -79,16 +76,14 @@ const PRE_PR_TXNS_PER_SEC_MI4_DURABLE: f64 = 1800.0;
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     InMem,
-    DurableSingle,
-    DurableGroup,
+    Durable,
 }
 
 impl Mode {
     fn name(self) -> &'static str {
         match self {
             Mode::InMem => "inmem",
-            Mode::DurableSingle => "durable_single",
-            Mode::DurableGroup => "durable_group",
+            Mode::Durable => "durable",
         }
     }
 }
@@ -143,19 +138,12 @@ fn workload_txn(site: SiteId, k: u64, id: TxnId) -> Transaction {
 }
 
 fn run_point(mode: Mode, max_inflight: usize, txns_per_site: u64) -> Point {
-    let mut config = ProtocolConfig {
+    let config = ProtocolConfig {
         db_size: N_SITES as u32 * SHARD * WRITES_PER_TXN,
         n_sites: N_SITES,
         max_inflight,
         ..ProtocolConfig::default()
     };
-    match mode {
-        Mode::InMem | Mode::DurableGroup => {} // defaults: batch 8, 500 µs linger
-        Mode::DurableSingle => {
-            config.group_commit_batch = 1;
-            config.group_commit_linger_us = 0;
-        }
-    }
 
     let dir = std::env::temp_dir().join(format!(
         "miniraid-bench-wal-{}-{}-mi{max_inflight}",
@@ -169,8 +157,10 @@ fn run_point(mode: Mode, max_inflight: usize, txns_per_site: u64) -> Point {
                 Cluster::launch_with_latency(config, ClusterTiming::default(), Duration::ZERO);
             (cluster, client, Vec::new())
         }
-        _ => Cluster::launch_durable_instrumented(config, ClusterTiming::default(), &dir)
-            .expect("launch durable cluster"),
+        Mode::Durable => {
+            Cluster::launch_durable_instrumented(config, ClusterTiming::default(), &dir)
+                .expect("launch durable cluster")
+        }
     };
 
     let total = txns_per_site * N_SITES as u64;
@@ -261,7 +251,7 @@ fn main() {
 
     let mut points = Vec::new();
     for max_inflight in [1usize, 4, 8] {
-        for mode in [Mode::InMem, Mode::DurableSingle, Mode::DurableGroup] {
+        for mode in [Mode::InMem, Mode::Durable] {
             let p = run_point(mode, max_inflight, txns_per_site);
             println!(
                 "{:>16} {:>4} {:>9} {:>10.1} {:>11.1} {:>11.3} {:>8.2} {:>8.2}",
@@ -278,31 +268,13 @@ fn main() {
         }
     }
 
-    // Headline comparisons at each inflight depth: group commit vs the
-    // one-fsync-per-commit discipline.
-    let find = |mode: Mode, mi: usize| {
-        points
-            .iter()
-            .find(|p| p.mode == mode && p.max_inflight == mi)
-            .expect("sweep point")
-    };
-    for mi in [1usize, 4, 8] {
-        let single = find(Mode::DurableSingle, mi);
-        let group = find(Mode::DurableGroup, mi);
-        println!(
-            "mi={mi}: group-commit {:.1} txns/s vs single-fsync {:.1} txns/s \
-             ({:.2}x), fsyncs/txn {:.3} vs {:.3}",
-            group.txns_per_sec(),
-            single.txns_per_sec(),
-            group.txns_per_sec() / single.txns_per_sec(),
-            group.fsyncs_per_txn(),
-            single.fsyncs_per_txn(),
-        );
-    }
-    let g4 = find(Mode::DurableGroup, 4);
+    let d4 = points
+        .iter()
+        .find(|p| p.mode == Mode::Durable && p.max_inflight == 4)
+        .expect("sweep point");
     println!(
-        "allocs/txn (durable_group, mi=4): {:.1} (pre-PR baseline {PRE_PR_ALLOCS_PER_TXN})",
-        g4.allocs_per_txn()
+        "allocs/txn (durable, mi=4): {:.1} (pre-PR baseline {PRE_PR_ALLOCS_PER_TXN})",
+        d4.allocs_per_txn()
     );
 
     let mut json = String::new();
@@ -316,10 +288,6 @@ fn main() {
         "  \"pre_pr_baseline\": {{\"allocs_per_committed_txn\": {PRE_PR_ALLOCS_PER_TXN}, \
          \"txns_per_sec_mi4_durable\": {PRE_PR_TXNS_PER_SEC_MI4_DURABLE}, \
          \"note\": \"one fsync per Persist, eager restart, allocating hot path\"}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"group_over_single_fsync_speedup_mi4\": {:.3},\n",
-        find(Mode::DurableGroup, 4).txns_per_sec() / find(Mode::DurableSingle, 4).txns_per_sec()
     ));
     json.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {

@@ -167,9 +167,9 @@ pub fn run_site<T: Transport, M: Mailbox>(
 }
 
 /// Like [`run_site`], with an optional WAL-backed durable store: every
-/// `Output::Persist` is logged and fsynced before processing continues,
-/// so a restarted process can preload the committed image (see
-/// `Cluster::launch_durable`).
+/// `Output::Persist` is logged, and fsynced before any message of the
+/// same mailbox drain leaves, so a restarted process can preload the
+/// committed image (see `Cluster::launch_durable`).
 pub fn run_site_durable<T: Transport, M: Mailbox>(
     engine: SiteEngine,
     transport: T,
@@ -185,24 +185,11 @@ pub fn run_site_durable<T: Transport, M: Mailbox>(
 /// draining in the background (instant restart).
 const HYDRATE_CHUNK: u32 = 256;
 
-/// Durable-mode state carried by the site loop: the store plus the
-/// group-commit machinery. Outbound messages that would announce a
-/// not-yet-synced record are *held* here until the group fsync covering
-/// it completes — a participant's ACK/vote thus waits on its group's
-/// fsync, never on a private one.
+/// Durable-mode state carried by the site loop: the store plus reusable
+/// buffers. The group commit itself needs no state: `perform` syncs once
+/// at the end of every drain, before any of the drain's messages leave.
 struct DurableCtx {
     store: DurableStore,
-    /// Messages held back until the next group fsync, per peer (FIFO
-    /// order within a peer is preserved: once anything is held, all
-    /// later sends queue behind it until the sync).
-    held: Vec<(SiteId, Vec<Message>)>,
-    /// Deadline for syncing a partial batch (armed when the first
-    /// unsynced record starts waiting).
-    linger_until: Option<Instant>,
-    /// Sync as soon as this many commit records await one.
-    batch: u32,
-    /// Maximum wait for a partial batch.
-    linger: Duration,
     /// Reused conversion buffers (`ItemId`-keyed engine output to
     /// `u32`-keyed storage input) — the commit hot path allocates
     /// nothing in steady state.
@@ -215,13 +202,9 @@ struct DurableCtx {
 }
 
 impl DurableCtx {
-    fn new(store: DurableStore, batch: u32, linger: Duration) -> DurableCtx {
+    fn new(store: DurableStore) -> DurableCtx {
         DurableCtx {
             store,
-            held: Vec::new(),
-            linger_until: None,
-            batch: batch.max(1),
-            linger,
             write_scratch: Vec::new(),
             lock_scratch: Vec::new(),
             pending_txns: Vec::new(),
@@ -289,9 +272,9 @@ fn discard_outbound(list: &mut Vec<(SiteId, Vec<Message>)>, pool: &mut Vec<Vec<M
 }
 
 /// A durable write or sync failed: the site goes down instead of
-/// panicking. Held and pending outbound messages are discarded, the
-/// store handle is dropped, and the loop keeps serving metrics scrapes
-/// — the observer sits outside the failure model.
+/// panicking. The drain's outbound messages are discarded, the store
+/// handle is dropped, and the loop keeps serving metrics scrapes — the
+/// observer sits outside the failure model.
 fn fail_durable(
     engine: &mut SiteEngine,
     durable: &mut Option<DurableCtx>,
@@ -305,9 +288,6 @@ fn fail_durable(
         "site {}: durable write failed ({err}); transitioning to down",
         engine.id().0
     );
-    if let Some(d) = durable.as_mut() {
-        discard_outbound(&mut d.held, pool);
-    }
     discard_outbound(outbound, pool);
     *durable = None;
     timers.clear();
@@ -498,14 +478,7 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
     // they recycle through (no per-drain allocation in steady state).
     let mut outbound: Vec<(SiteId, Vec<Message>)> = Vec::new();
     let mut pool: Vec<Vec<Message>> = Vec::new();
-    let mut durable = store.map(|s| {
-        let cfg = engine.config();
-        DurableCtx::new(
-            s,
-            cfg.group_commit_batch,
-            Duration::from_micros(cfg.group_commit_linger_us),
-        )
-    });
+    let mut durable = store.map(DurableCtx::new);
 
     loop {
         // Background replay after an instant restart: hydrate a chunk of
@@ -549,17 +522,13 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
         }
 
         // Wait until the next timer deadline (or a polling default),
-        // capped by the group-commit linger and by background replay.
-        // After the purge that deadline is one something still waits on:
-        // a site whose transactions complete in time parks until a
-        // message arrives.
+        // capped by background replay. After the purge that deadline is
+        // one something still waits on: a site whose transactions
+        // complete in time parks until a message arrives.
         let mut wait = timers
             .next_due()
             .map(|due| due.saturating_duration_since(now))
             .unwrap_or(Duration::from_millis(50));
-        if let Some(until) = durable.as_ref().and_then(|d| d.linger_until) {
-            wait = wait.min(until.saturating_duration_since(Instant::now()));
-        }
         if hydrating {
             wait = wait.min(Duration::from_millis(1));
         }
@@ -568,7 +537,9 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
         // message, then take whatever else is already queued. All outputs
         // accumulate so sends to the same peer coalesce into one frame —
         // and commit records from every transaction in the drain share
-        // one group fsync.
+        // one fsync. The drain is the group: under load, what arrives
+        // during one fsync is the next drain, so groups grow with the
+        // fsync's cost and nothing waits for company.
         out.clear();
         let mut drained = false;
         match mailbox.recv_timeout(wait) {
@@ -630,36 +601,7 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
             );
         }
 
-        // Linger expired: fsync the partial group and release what it
-        // was holding back.
-        if let Some(d) = durable.as_mut() {
-            if d.linger_until.is_some_and(|until| Instant::now() >= until) {
-                match sync_durable(&engine, d) {
-                    Ok(()) => {
-                        d.linger_until = None;
-                        flush_outbound(&mut engine, &transport, &mut d.held, &mut pool);
-                    }
-                    Err(err) => fail_durable(
-                        &mut engine,
-                        &mut durable,
-                        &mut timers,
-                        manager,
-                        &mut outbound,
-                        &mut pool,
-                        err,
-                    ),
-                }
-            }
-        }
-
         if engine.status() == SiteStatus::Terminating {
-            // Clean shutdown: make the tail durable, then release
-            // anything still held.
-            if let Some(d) = durable.as_mut() {
-                if sync_durable(&engine, d).is_ok() {
-                    flush_outbound(&mut engine, &transport, &mut d.held, &mut pool);
-                }
-            }
             if let Some(obs) = &obs {
                 obs.flush();
             }
@@ -682,10 +624,8 @@ fn perform<T: Transport>(
 ) {
     // Sends are grouped per destination and flushed as one frame each
     // (`Transport::send_batch`), preserving per-peer FIFO order. Persist
-    // outputs only *append* REDO records; the fsync is deferred to the
-    // group-commit decision below, and every message queued in this
-    // drain is held until the fsync that covers those records — so
-    // durability still precedes every message that announces it.
+    // outputs only *append* REDO records; the one fsync that covers them
+    // all comes after the loop, before any frame leaves.
     let mut persist_error: Option<miniraid_storage::StorageError> = None;
     let now = Instant::now();
     for output in out.drain(..) {
@@ -727,14 +667,6 @@ fn perform<T: Transport>(
                     };
                     if let Err(err) = res {
                         persist_error = Some(err);
-                    } else if d.store.pending_commits() >= d.batch {
-                        // The group is full: fsync right away (with
-                        // `batch = 1` this is the one-fsync-per-commit
-                        // baseline discipline). Held messages are
-                        // released by the end-of-drain policy below.
-                        if let Err(err) = sync_durable(engine, d) {
-                            persist_error = Some(err);
-                        }
                     }
                 }
             }
@@ -746,7 +678,7 @@ fn perform<T: Transport>(
             Output::BecameOperational { session } => {
                 if let Some(d) = durable.as_mut() {
                     // Buffered append: the MgmtRecovered announcement
-                    // below is held until the group fsync covers it.
+                    // below leaves after the drain's fsync covers it.
                     if let Err(err) = d.store.log_session(session.0) {
                         persist_error = Some(err);
                         continue;
@@ -761,49 +693,18 @@ fn perform<T: Transport>(
             Output::RecoveryFailed | Output::Work(_) => {} // Persist handled above.
         }
     }
-    if let Some(err) = persist_error {
-        fail_durable(engine, durable, timers, manager, outbound, pool, err);
-        return;
-    }
-
-    // Group-commit decision. While records await their fsync, *every*
-    // queued message is held (per-peer FIFO must not let a later message
-    // overtake a held one); the group syncs when it reaches `batch`
-    // commit records, and the linger deadline bounds how long a partial
-    // group may wait.
-    match durable.as_mut() {
-        Some(d) if d.store.has_unsynced() => {
-            if d.store.pending_commits() >= d.batch || d.linger.is_zero() {
-                match sync_durable(engine, d) {
-                    Ok(()) => {
-                        d.linger_until = None;
-                        flush_outbound(engine, transport, &mut d.held, pool);
-                        flush_outbound(engine, transport, outbound, pool);
-                    }
-                    Err(err) => fail_durable(engine, durable, timers, manager, outbound, pool, err),
-                }
-            } else {
-                for (to, mut msgs) in outbound.drain(..) {
-                    match d.held.iter_mut().find(|(peer, _)| *peer == to) {
-                        Some((_, held)) => {
-                            held.append(&mut msgs);
-                            pool.push(msgs);
-                        }
-                        None => d.held.push((to, msgs)),
-                    }
-                }
-                if d.linger_until.is_none() {
-                    d.linger_until = Some(Instant::now() + d.linger);
-                }
-            }
-        }
-        _ => {
-            if let Some(d) = durable.as_mut() {
-                // Nothing unsynced: anything still held is covered.
-                flush_outbound(engine, transport, &mut d.held, pool);
-            }
-            flush_outbound(engine, transport, outbound, pool);
-        }
+    // The group commit: one fsync for everything this drain appended (a
+    // no-op if it appended nothing), then the drain's frames. Nothing is
+    // held across drains, so each peer receives its messages in output
+    // order, and none leaves before the fsync covering what it claims.
+    let synced = match (persist_error, durable.as_mut()) {
+        (Some(err), _) => Err(err),
+        (None, Some(d)) => sync_durable(engine, d),
+        (None, None) => Ok(()),
+    };
+    match synced {
+        Ok(()) => flush_outbound(engine, transport, outbound, pool),
+        Err(err) => fail_durable(engine, durable, timers, manager, outbound, pool, err),
     }
 }
 
@@ -937,5 +838,230 @@ mod tests {
         assert_eq!(timers.pop_due(end), Some(id));
         assert_eq!(timers.pop_due(end), Some(id));
         assert_eq!(timers.pop_due(end), None);
+    }
+
+    // ---- the durability rule: one fsync per drain, sends after it ------
+
+    use std::sync::{Arc, Mutex};
+
+    use miniraid_core::config::ProtocolConfig;
+    use miniraid_core::ids::{ItemId, SessionNumber};
+    use miniraid_storage::{ItemValue, WalCounters};
+
+    /// One frame as it left, with the WAL's record and fsync counts at
+    /// that instant.
+    #[derive(Debug)]
+    struct Sent {
+        to: SiteId,
+        msgs: Vec<Message>,
+        records: u64,
+        fsyncs: u64,
+    }
+
+    struct Recorder {
+        wal: Arc<WalCounters>,
+        sent: Mutex<Vec<Sent>>,
+    }
+
+    impl Transport for Recorder {
+        fn send(&self, to: SiteId, msg: &Message) -> Result<(), miniraid_net::NetError> {
+            self.send_batch(to, std::slice::from_ref(msg))
+        }
+
+        fn send_batch(&self, to: SiteId, msgs: &[Message]) -> Result<(), miniraid_net::NetError> {
+            self.sent.lock().unwrap().push(Sent {
+                to,
+                msgs: msgs.to_vec(),
+                records: self.wal.records(),
+                fsyncs: self.wal.fsyncs(),
+            });
+            Ok(())
+        }
+
+        fn local_id(&self) -> SiteId {
+            SiteId(0)
+        }
+    }
+
+    const MANAGER: SiteId = SiteId(3);
+
+    /// Site 0 of three with a real store in a temp dir, driven one
+    /// drain (one `perform`) at a time.
+    struct Drains {
+        engine: SiteEngine,
+        transport: Recorder,
+        timers: Timers,
+        durable: Option<DurableCtx>,
+        outbound: Vec<(SiteId, Vec<Message>)>,
+        pool: Vec<Vec<Message>>,
+        dir: std::path::PathBuf,
+    }
+
+    impl Drains {
+        fn new(name: &str) -> Drains {
+            let dir = std::env::temp_dir()
+                .join(format!("miniraid-site-drain-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = DurableStore::open(&dir, 16).unwrap();
+            let config = ProtocolConfig {
+                db_size: 16,
+                n_sites: 3,
+                emit_persistence: true,
+                ..ProtocolConfig::default()
+            };
+            Drains {
+                engine: SiteEngine::new(SiteId(0), config),
+                transport: Recorder {
+                    wal: store.counters(),
+                    sent: Mutex::new(Vec::new()),
+                },
+                timers: Timers::default(),
+                durable: Some(DurableCtx::new(store)),
+                outbound: Vec::new(),
+                pool: Vec::new(),
+                dir,
+            }
+        }
+
+        fn drain(&mut self, outputs: Vec<Output>) {
+            let mut out = outputs;
+            perform(
+                &mut self.engine,
+                &self.transport,
+                MANAGER,
+                &timing(),
+                &mut self.timers,
+                &mut out,
+                &mut self.durable,
+                &mut self.outbound,
+                &mut self.pool,
+            );
+        }
+
+        fn sent(&self) -> std::sync::MutexGuard<'_, Vec<Sent>> {
+            self.transport.sent.lock().unwrap()
+        }
+
+        fn wal(&self) -> (u64, u64) {
+            (self.transport.wal.records(), self.transport.wal.fsyncs())
+        }
+    }
+
+    impl Drop for Drains {
+        fn drop(&mut self) {
+            self.durable = None;
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn persist(txn: u64) -> Output {
+        Output::Persist {
+            txn: TxnId(txn),
+            writes: vec![(ItemId(txn as u32), ItemValue::new(txn, txn))],
+            faillocks: Vec::new(),
+        }
+    }
+
+    /// A message that says which output it came from.
+    fn send(to: u8, tag: u64) -> Output {
+        Output::Send {
+            to: SiteId(to),
+            msg: Message::XLogQuery { epoch: tag },
+        }
+    }
+
+    #[test]
+    fn a_drain_that_persists_is_one_fsync_and_every_send_follows_it() {
+        let mut d = Drains::new("one-fsync");
+        let mut outputs = Vec::new();
+        for k in 1..=5 {
+            outputs.push(persist(k));
+            outputs.push(send(1 + (k % 2) as u8, k));
+        }
+        d.drain(outputs);
+        assert_eq!(d.wal(), (5, 1), "five records, one fsync");
+        let sent = d.sent();
+        assert_eq!(sent.len(), 2, "one frame per peer");
+        for frame in sent.iter() {
+            assert_eq!((frame.records, frame.fsyncs), (5, 1), "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn a_drain_without_persist_costs_no_fsync_and_sends_at_once() {
+        let mut d = Drains::new("no-fsync");
+        d.drain(vec![send(1, 1), send(2, 2), send(1, 3)]);
+        assert_eq!(d.wal(), (0, 0));
+        let sent = d.sent();
+        assert_eq!(sent.len(), 2);
+        assert!(sent.iter().all(|f| (f.records, f.fsyncs) == (0, 0)));
+    }
+
+    #[test]
+    fn a_recovery_announcement_leaves_after_its_session_record_is_synced() {
+        let mut d = Drains::new("session");
+        d.drain(vec![Output::BecameOperational {
+            session: SessionNumber(3),
+        }]);
+        let sent = d.sent();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].to, MANAGER);
+        assert_eq!(
+            sent[0].msgs,
+            [Message::MgmtRecovered {
+                session: SessionNumber(3)
+            }]
+        );
+        assert_eq!((sent[0].records, sent[0].fsyncs), (1, 1));
+        drop(sent);
+        drop(d.durable.take());
+        assert_eq!(DurableStore::open(&d.dir, 16).unwrap().session(), 3);
+    }
+
+    #[test]
+    fn per_peer_order_is_output_order_across_drains() {
+        let mut d = Drains::new("fifo");
+        let first = vec![
+            send(1, 1),
+            persist(1),
+            send(2, 2),
+            send(1, 3),
+            persist(2),
+            send(1, 4),
+            send(2, 5),
+        ];
+        let second = vec![send(2, 6), send(1, 7)];
+        let mut expected: Vec<(SiteId, u64)> = Vec::new();
+        for output in first.iter().chain(&second) {
+            if let Output::Send {
+                to,
+                msg: Message::XLogQuery { epoch },
+            } = output
+            {
+                expected.push((*to, *epoch));
+            }
+        }
+        d.drain(first);
+        d.drain(second);
+        assert_eq!(d.wal(), (2, 1), "the second drain appended nothing");
+        let sent = d.sent();
+        assert_eq!(sent.len(), 4, "two frames per drain, nothing held over");
+        for peer in [SiteId(1), SiteId(2)] {
+            let got: Vec<u64> = sent
+                .iter()
+                .filter(|f| f.to == peer)
+                .flat_map(|f| &f.msgs)
+                .map(|m| match m {
+                    Message::XLogQuery { epoch } => *epoch,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            let want: Vec<u64> = expected
+                .iter()
+                .filter(|(to, _)| *to == peer)
+                .map(|(_, tag)| *tag)
+                .collect();
+            assert_eq!(got, want, "peer {}", peer.0);
+        }
     }
 }

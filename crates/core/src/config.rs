@@ -101,17 +101,6 @@ pub struct ProtocolConfig {
     /// paper-reproduction scenarios, whose measured type-1 cost assumes
     /// a single responder formats state.
     pub recovery_cross_check: bool,
-    /// Group-commit batch size: the durable site loop fsyncs its REDO
-    /// log as soon as this many commit records await one (`1` reproduces
-    /// one-fsync-per-commit). Only meaningful with `emit_persistence`;
-    /// commits from all pipelined in-flight transactions share the sync.
-    #[serde(default = "default_group_commit_batch")]
-    pub group_commit_batch: u32,
-    /// Group-commit linger: maximum microseconds a commit record may
-    /// wait for companions before the site loop fsyncs a partial batch.
-    /// `0` syncs at the end of every event-loop drain.
-    #[serde(default = "default_group_commit_linger_us")]
-    pub group_commit_linger_us: u64,
     /// Cross-shard 2PC: how long the top-level coordinator (the sharded
     /// client) waits for branch votes before counting stragglers as no,
     /// in milliseconds. Must stay below the engines' participant
@@ -126,14 +115,6 @@ pub struct ProtocolConfig {
     /// something actually failed.
     #[serde(default = "default_shard_redrive_interval_ms")]
     pub shard_redrive_interval_ms: u64,
-}
-
-fn default_group_commit_batch() -> u32 {
-    8
-}
-
-fn default_group_commit_linger_us() -> u64 {
-    150
 }
 
 fn default_shard_vote_timeout_ms() -> u64 {
@@ -180,8 +161,6 @@ impl Default for ProtocolConfig {
             strategy: ReplicationStrategy::RowaAvailable,
             max_inflight: 1,
             recovery_cross_check: true,
-            group_commit_batch: default_group_commit_batch(),
-            group_commit_linger_us: default_group_commit_linger_us(),
             shard_vote_timeout_ms: default_shard_vote_timeout_ms(),
             shard_redrive_interval_ms: default_shard_redrive_interval_ms(),
         }

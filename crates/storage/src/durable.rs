@@ -8,10 +8,10 @@
 //! Durability is **group-committed**: [`DurableStore::commit`] only
 //! appends a self-contained REDO record; nothing reaches the disk until
 //! [`DurableStore::sync`] (one fsync for every record appended since the
-//! last sync) or drop. The driving site loop batches appends from all
-//! in-flight transactions and holds back any message that would announce
-//! a commit until the group fsync covering it completes, so the external
-//! durability contract is unchanged — only the fsync count drops.
+//! last sync) or drop. The driving site loop syncs once at the end of
+//! every mailbox drain that appended, and sends the drain's messages only
+//! after that sync, so no message announces a commit before the fsync
+//! covering it completes — only the fsync count drops.
 //!
 //! Restart is **instant**: [`DurableStore::open`] scans the log for frame
 //! integrity and per-item chain heads but does not apply values. Reads
@@ -59,10 +59,9 @@ impl DurableStore {
             None => (MemStore::new(size), 0),
         };
         let (wal, state) = GroupCommitWal::open(&wal_path, size)?;
-        let image = LazyImage::new(&state);
         Ok(DurableStore {
             mem,
-            image,
+            image: LazyImage::from_log(state.raw, state.heads),
             wal,
             wal_path,
             snap_path,
@@ -198,16 +197,6 @@ impl DurableStore {
         self.wal.sync()
     }
 
-    /// True if appended records await their group fsync.
-    pub fn has_unsynced(&self) -> bool {
-        self.wal.has_unsynced()
-    }
-
-    /// Commit records appended since the last sync (group size so far).
-    pub fn pending_commits(&self) -> u32 {
-        self.wal.pending_commits()
-    }
-
     /// Record an aborted transaction. REDO-only logging writes nothing:
     /// uncommitted work never reaches the log, so an abort needs neither
     /// a record nor durability. Kept for API compatibility.
@@ -290,7 +279,7 @@ mod tests {
         for txn in 1..=8u64 {
             s.commit(txn, &[(0, ItemValue::new(txn, txn))]).unwrap();
         }
-        assert_eq!(s.pending_commits(), 8);
+        assert_eq!(counters.fsyncs(), 0);
         s.sync().unwrap();
         s.sync().unwrap();
         assert_eq!(counters.fsyncs(), 1);

@@ -12,9 +12,9 @@
 //!   scan of intact frames.
 //! * **Group commit.** [`GroupCommitWal::append_commit`] buffers; an
 //!   explicit [`GroupCommitWal::sync`] makes every buffered record durable
-//!   with one fsync. The caller batches appends from all in-flight
-//!   transactions (flush on batch size or linger — policy lives in the
-//!   site loop, driven by `ProtocolConfig`).
+//!   with one fsync. The caller decides what a group is: the site loop
+//!   syncs once at the end of every mailbox drain that appended, so the
+//!   group is whatever arrived while the previous fsync ran.
 //! * **Per-item log chains.** Every write in a commit record stores the
 //!   file offset of the previous commit record that wrote the same item
 //!   ([`NO_PREV`] if none). The writer maintains the chain heads in
@@ -334,14 +334,22 @@ pub struct LazyImage {
 }
 
 impl LazyImage {
-    /// Build from a scan. Items with no chain head are never pending
-    /// (their value is whatever the snapshot / initial load holds).
+    /// Build from a scan, copying its log bytes (see
+    /// [`LazyImage::from_log`] to move them instead).
     pub fn new(state: &ScanState) -> LazyImage {
-        let pending: Vec<bool> = state.heads.iter().map(|&h| h != NO_PREV).collect();
+        LazyImage::from_log(state.raw.clone(), state.heads.clone())
+    }
+
+    /// Build from a scan's intact log prefix and chain heads, taking
+    /// ownership of both: a restart holds one copy of the log, not two.
+    /// Items with no chain head are never pending (their value is
+    /// whatever the snapshot / initial load holds).
+    pub fn from_log(raw: Vec<u8>, heads: Vec<u64>) -> LazyImage {
+        let pending: Vec<bool> = heads.iter().map(|&h| h != NO_PREV).collect();
         let remaining = pending.iter().filter(|&&p| p).count() as u32;
         LazyImage {
-            raw: Arc::new(state.raw.clone()),
-            heads: Arc::new(state.heads.clone()),
+            raw: Arc::new(raw),
+            heads: Arc::new(heads),
             pending,
             remaining,
             cursor: 0,
@@ -451,7 +459,6 @@ pub struct GroupCommitWal {
     len: u64,
     heads: Vec<u64>,
     scratch: Vec<u8>,
-    unsynced_commits: u32,
     unsynced: bool,
     counters: Arc<WalCounters>,
 }
@@ -494,7 +501,6 @@ impl GroupCommitWal {
             len: valid,
             heads: state.heads.clone(),
             scratch: Vec::with_capacity(256),
-            unsynced_commits: 0,
             unsynced: false,
             counters,
         };
@@ -514,16 +520,6 @@ impl GroupCommitWal {
     /// True if no records have been appended.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Commit records appended since the last [`GroupCommitWal::sync`].
-    pub fn pending_commits(&self) -> u32 {
-        self.unsynced_commits
-    }
-
-    /// True if any record awaits a sync.
-    pub fn has_unsynced(&self) -> bool {
-        self.unsynced
     }
 
     fn frame_scratch(&mut self) -> Result<()> {
@@ -574,7 +570,6 @@ impl GroupCommitWal {
             self.scratch.extend_from_slice(&word.to_le_bytes());
         }
         self.frame_scratch()?;
-        self.unsynced_commits += 1;
         self.counters.commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -617,7 +612,6 @@ impl GroupCommitWal {
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
         self.unsynced = false;
-        self.unsynced_commits = 0;
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -681,12 +675,27 @@ mod tests {
         for txn in 1..=5u64 {
             wal.append_commit(txn, &[(0, v(txn, txn))], &[]).unwrap();
         }
-        assert_eq!(wal.pending_commits(), 5);
+        assert_eq!(counters.fsyncs(), 0);
         wal.sync().unwrap();
         wal.sync().unwrap(); // clean — must not fsync again
         assert_eq!(counters.fsyncs(), 1);
         assert_eq!(counters.commits(), 5);
-        assert_eq!(wal.pending_commits(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn from_log_keeps_the_scanned_buffer() {
+        let path = tmp("one-copy");
+        let (mut wal, _) = GroupCommitWal::open(&path, 4).unwrap();
+        wal.append_commit(1, &[(2, v(20, 1))], &[]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let state = scan(std::fs::read(&path).unwrap(), 4).unwrap();
+        let (raw, heads) = (state.raw.as_ptr(), state.heads.as_ptr());
+        let mut img = LazyImage::from_log(state.raw, state.heads);
+        // The image owns the very allocations the scan returned.
+        assert_eq!((img.raw.as_ptr(), img.heads.as_ptr()), (raw, heads));
+        assert_eq!(img.take(2), Some(v(20, 1)));
         std::fs::remove_file(&path).unwrap();
     }
 
