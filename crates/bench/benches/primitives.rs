@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the protocol's primitive data structures: the
 //! real-hardware costs behind the paper's measured overheads.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use miniraid_core::config::ProtocolConfig;
@@ -12,7 +12,7 @@ use miniraid_core::messages::{Command, Message};
 use miniraid_core::packed::PackedSiteTable;
 use miniraid_core::session::SessionVector;
 use miniraid_net::codec::{decode, encode};
-use miniraid_storage::{ItemValue, MemStore, Wal, WalRecord};
+use miniraid_storage::{ItemValue, MemStore};
 
 fn bench_faillocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("faillock");
@@ -199,28 +199,6 @@ fn bench_storage(c: &mut Criterion) {
     group.bench_function("memstore_digest_db1024", |b| {
         let store = MemStore::new(1024);
         b.iter(|| black_box(store.digest()))
-    });
-    group.bench_function("wal_append_txn_records", |b| {
-        let mut path = std::env::temp_dir();
-        path.push(format!("miniraid-bench-wal-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        // PerIteration: each setup opens a file handle; batching setups
-        // would hold thousands of WALs open at once (EMFILE).
-        b.iter_batched(
-            || Wal::open(&path).unwrap(),
-            |mut wal| {
-                wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
-                wal.append(&WalRecord::Write {
-                    txn: 1,
-                    item: 3,
-                    value: ItemValue::new(7, 1),
-                })
-                .unwrap();
-                wal.append(&WalRecord::Commit { txn: 1 }).unwrap();
-            },
-            BatchSize::PerIteration,
-        );
-        let _ = std::fs::remove_file(&path);
     });
     group.finish();
 }

@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use miniraid_cluster::{Cluster, ClusterTiming, Resharder, ShardedClient};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched, Mapped, Resharder, ShardedClient};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::ItemId;
 use miniraid_core::ops::{Operation, Transaction};
@@ -113,14 +113,18 @@ fn main() {
 
     let spec = ShardSpec::new(N_GROUPS, SITES_PER_GROUP, DB_SIZE / N_GROUPS as u32);
     let initial = ShardMap::blocked(N_GROUPS, DB_SIZE);
-    let (cluster, mut client, _controls) = Cluster::launch_mapped_faulty(
-        spec,
-        ProtocolConfig::default(),
-        ClusterTiming::default(),
-        FaultPlan::none(SEED),
-        true,
-        initial.clone(),
-    );
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = ClusterBuilder::new(ProtocolConfig::default(), ClusterTiming::default())
+        .topology(Mapped {
+            spec,
+            initial: initial.clone(),
+        })
+        .faults(FaultPlan::none(SEED), true)
+        .launch()
+        .expect("launch mapped cluster");
     let mut rng = StdRng::seed_from_u64(SEED);
 
     println!(

@@ -23,11 +23,10 @@
 
 use std::time::{Duration, Instant};
 
-use miniraid_cluster::{Cluster, ClusterTiming, ShardedClient};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, TxnId};
 use miniraid_core::ops::{Operation, Transaction};
-use miniraid_net::channel::{ChannelMailbox, ChannelTransport};
 use miniraid_shard::ShardSpec;
 
 /// Sites per replication group (the paper's mini-RAID ran 3 database
@@ -144,8 +143,15 @@ fn run_sweep_point(n_groups: u8, cross_pct: u32) -> SweepPoint {
         max_inflight: MAX_INFLIGHT,
         ..ProtocolConfig::default()
     };
-    let (cluster, mut client): (Cluster, ShardedClient<ChannelTransport, ChannelMailbox>) =
-        Cluster::launch_sharded_with_latency(spec, config, ClusterTiming::default(), LATENCY);
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = ClusterBuilder::new(config, ClusterTiming::default())
+        .topology(spec)
+        .latency(LATENCY)
+        .launch()
+        .expect("launch sharded cluster");
 
     let total = TXNS_PER_GROUP * n_groups as u64;
     // Enough outstanding work to keep every coordinator's pipeline full

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use miniraid_cluster::{Cluster, ClusterTiming};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched, Tracing};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, SiteId, TxnId};
 use miniraid_core::ops::{Operation, Transaction};
@@ -96,6 +96,16 @@ fn workload_txn(site: SiteId, k: u64, id: TxnId) -> Transaction {
     Transaction::new(id, ops)
 }
 
+/// A cluster with `LATENCY` on every intersite send. Every engine gets
+/// a null-sink tracer: the benchmark measures the full event-emission
+/// path (clock stamp + dynamic dispatch into a sink that discards), so
+/// its numbers bound the tracing overhead a real deployment pays.
+fn with_latency(config: ProtocolConfig) -> ClusterBuilder {
+    ClusterBuilder::new(config, ClusterTiming::default())
+        .latency(LATENCY)
+        .tracing(Tracing::NullSink)
+}
+
 fn run_sweep_point(max_inflight: usize) -> SweepPoint {
     let config = ProtocolConfig {
         db_size: N_SITES as u32 * SHARD * WRITES_PER_TXN,
@@ -103,8 +113,11 @@ fn run_sweep_point(max_inflight: usize) -> SweepPoint {
         max_inflight,
         ..ProtocolConfig::default()
     };
-    let (cluster, mut client) =
-        Cluster::launch_with_latency(config, ClusterTiming::default(), LATENCY);
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = with_latency(config).launch().expect("launch cluster");
 
     let total = TXNS_PER_SITE * N_SITES as u64;
     let mut submitted_at: HashMap<TxnId, Instant> = HashMap::new();
@@ -208,8 +221,11 @@ fn run_open_loop_point(target_tps: f64, total: u64) -> OpenLoopPoint {
         max_inflight: 4,
         ..ProtocolConfig::default()
     };
-    let (cluster, mut client) =
-        Cluster::launch_with_latency(config, ClusterTiming::default(), LATENCY);
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = with_latency(config).launch().expect("launch cluster");
 
     let interval_us = (1e6 / target_tps).round().max(1.0) as u64;
     let mut rec = OpenLoopRecorder::new(0, interval_us);

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use miniraid_cluster::{Cluster, ClusterTiming};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched, Tracing};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, SiteId, TxnId};
 use miniraid_core::ops::{Operation, Transaction};
@@ -151,17 +151,19 @@ fn run_point(mode: Mode, max_inflight: usize, txns_per_site: u64) -> Point {
         mode.name()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (cluster, mut client, counters) = match mode {
-        Mode::InMem => {
-            let (cluster, client) =
-                Cluster::launch_with_latency(config, ClusterTiming::default(), Duration::ZERO);
-            (cluster, client, Vec::new())
-        }
-        Mode::Durable => {
-            Cluster::launch_durable_instrumented(config, ClusterTiming::default(), &dir)
-                .expect("launch durable cluster")
-        }
+    let builder = ClusterBuilder::new(config, ClusterTiming::default());
+    let builder = match mode {
+        // As `BENCH_wal.json` was measured: the in-memory points run a
+        // zero-latency delay stage and a null-sink tracer.
+        Mode::InMem => builder.latency(Duration::ZERO).tracing(Tracing::NullSink),
+        Mode::Durable => builder.durable(&dir),
     };
+    let Launched {
+        cluster,
+        mut client,
+        wal: counters,
+        ..
+    } = builder.launch().expect("launch cluster");
 
     let total = txns_per_site * N_SITES as u64;
     let mut submitted_at: HashMap<TxnId, Instant> = HashMap::new();

@@ -33,6 +33,11 @@
 //! `proc` drives real `miniraid-site` OS processes over TCP with
 //! WAL-backed stores: kills are SIGKILL mid-transaction, restarts
 //! replay the WAL — the paper's site failure model made literal.
+//!
+//! `MINIRAID_CHAOS_TRACE_DIR=<dir>` makes a `thread` run write per-site
+//! protocol traces (and, sharded or resharding, the client's
+//! `client.jsonl`) under `<dir>`; a traced sharded run also backs its
+//! sites with the WAL.
 
 use std::path::PathBuf;
 
@@ -90,6 +95,7 @@ fn main() {
     let dup: f64 = parse_flag(&args, "--dup").unwrap_or(0.05);
     let with_reliable = !args.iter().any(|a| a == "--no-reliable");
     let trace_out: Option<PathBuf> = parse_flag(&args, "--trace-out");
+    let trace_dir = std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").map(PathBuf::from);
 
     match mode {
         "thread" => {
@@ -121,6 +127,7 @@ fn main() {
                     drop: parse_flag(&args, "--drop").unwrap_or(0.0),
                     duplicate: parse_flag(&args, "--dup").unwrap_or(0.0),
                     with_reliable,
+                    trace_dir,
                 };
                 eprintln!("chaos: reshard thread mode, {opts:?}");
                 let outcome = run_reshard_chaos(opts);
@@ -164,6 +171,7 @@ fn main() {
                     kill_coordinator,
                     shard_vote_timeout_ms: parse_flag(&args, "--vote-timeout-ms"),
                     shard_redrive_interval_ms: parse_flag(&args, "--redrive-ms"),
+                    trace_dir,
                 };
                 eprintln!("chaos: sharded thread mode, {opts:?}");
                 finish(run_sharded_chaos(opts), trace_out, seed);
@@ -176,6 +184,7 @@ fn main() {
                 drop,
                 duplicate: dup,
                 with_reliable,
+                trace_dir,
             };
             eprintln!("chaos: thread mode, {opts:?}");
             finish(run_thread_chaos(opts), trace_out, seed);

@@ -23,35 +23,13 @@
 //!   the site tolerates the injected — or real — frame loss.
 
 use miniraid_cluster::obs::SiteObs;
-use miniraid_cluster::site::{run_site_full, ClusterTiming};
+use miniraid_cluster::site::{run_site, ClusterTiming, SiteParts};
 use miniraid_core::config::{ProtocolConfig, TwoStepRecovery};
 use miniraid_core::engine::SiteEngine;
 use miniraid_core::ids::SiteId;
 use miniraid_net::fault::{FaultPlan, FaultTransport};
 use miniraid_net::reliable::{reliable, ReliableConfig};
 use miniraid_net::tcp::{AddressPlan, TcpEndpoint};
-use miniraid_net::{Mailbox, Transport};
-use miniraid_storage::DurableStore;
-
-#[allow(clippy::too_many_arguments)]
-fn serve<T: Transport + 'static, M: Mailbox>(
-    engine: SiteEngine,
-    transport: T,
-    mailbox: M,
-    manager: SiteId,
-    store: Option<DurableStore>,
-    obs: SiteObs,
-) {
-    run_site_full(
-        engine,
-        transport,
-        mailbox,
-        manager,
-        ClusterTiming::default(),
-        store,
-        Some(obs),
-    );
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -119,7 +97,12 @@ fn main() {
             engine.assume_failed();
         }
     }
-    let obs = SiteObs::attach(&mut engine, trace_path.as_deref()).expect("open trace file");
+    let parts = SiteParts {
+        store,
+        obs: Some(SiteObs::attach(&mut engine, trace_path.as_deref()).expect("open trace file")),
+        map: None,
+    };
+    let timing = ClusterTiming::default();
 
     let faults = std::env::var("MINIRAID_FAULTS")
         .ok()
@@ -132,19 +115,19 @@ fn main() {
     // clock, so peers recognise a restarted process and reset their
     // receive links instead of discarding its "stale" sequence numbers.
     match (faults, reliable_on) {
-        (None, false) => serve(engine, transport, mailbox, manager, store, obs),
+        (None, false) => run_site(engine, transport, mailbox, manager, timing, parts),
         (Some(plan), false) => {
             let (transport, _control) = FaultTransport::new(transport, plan);
-            serve(engine, transport, mailbox, manager, store, obs);
+            run_site(engine, transport, mailbox, manager, timing, parts);
         }
         (None, true) => {
             let (transport, mailbox) = reliable(transport, mailbox, ReliableConfig::default());
-            serve(engine, transport, mailbox, manager, store, obs);
+            run_site(engine, transport, mailbox, manager, timing, parts);
         }
         (Some(plan), true) => {
             let (transport, _control) = FaultTransport::new(transport, plan);
             let (transport, mailbox) = reliable(transport, mailbox, ReliableConfig::default());
-            serve(engine, transport, mailbox, manager, store, obs);
+            run_site(engine, transport, mailbox, manager, timing, parts);
         }
     }
     eprintln!("miniraid-site {site_id} terminated");

@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use miniraid_cluster::{Cluster, ClusterTiming};
+use miniraid_cluster::{Cluster, ClusterBuilder, ClusterTiming, Launched, Tracing};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, SiteId};
 use miniraid_core::messages::TxnOutcome;
@@ -157,7 +157,7 @@ fn main() {
 }
 
 /// Cross-shard traced scenario: 2 groups × 2 sites, reliable layer and
-/// WAL durability on, causal tracing via `MINIRAID_CHAOS_TRACE_DIR`.
+/// WAL durability under `<dir>/wal`, causal tracing into `<dir>`.
 /// Validates the whole observability plane end to end: the client's
 /// cross-shard 2PC, both groups' branch work, the covering WAL fsync
 /// and the chaos kill/recover annotations all reassemble from one set
@@ -168,22 +168,23 @@ fn sharded_smoke(dir: std::path::PathBuf) {
     use miniraid_shard::ShardSpec;
 
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("MINIRAID_CHAOS_TRACE_DIR", &dir);
-    std::env::set_var("MINIRAID_SHARD_DURABLE_DIR", dir.join("wal"));
 
     let spec = ShardSpec::new(2, 2, 10);
     let config = ProtocolConfig {
         max_inflight: 4,
-        emit_persistence: true,
         ..ProtocolConfig::default()
     };
-    let (cluster, mut client, _controls) = Cluster::launch_sharded_faulty(
-        spec,
-        config,
-        ClusterTiming::default(),
-        FaultPlan::none(7),
-        true,
-    );
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = ClusterBuilder::new(config, ClusterTiming::default())
+        .topology(spec)
+        .faults(FaultPlan::none(7), true)
+        .durable(&dir.join("wal"))
+        .tracing(Tracing::Observed(Some(dir.clone())))
+        .launch()
+        .expect("launch sharded cluster");
 
     let run_cross = |client: &mut miniraid_cluster::ShardedClient<_, _>, i: u64| -> bool {
         // Items 2k and 2k+1 live in groups 0 and 1 respectively, so

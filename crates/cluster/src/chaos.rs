@@ -38,6 +38,7 @@
 //! tests of that very phenomenon.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use miniraid_core::config::ProtocolConfig;
@@ -53,14 +54,14 @@ use rand::{Rng, SeedableRng};
 
 use miniraid_shard::{MigrationPlan, PlanOp, ShardMap, ShardSpec};
 
-use crate::cluster::Cluster;
+use crate::cluster::{ClusterBuilder, Launched, Mapped, Tracing};
 use crate::control::{ControlError, ManagingClient};
 use crate::resharder::{ReshardKillPoint, ReshardStats, Resharder};
 use crate::shard_client::{CoordKillPoint, ShardedClient};
 use crate::site::ClusterTiming;
 
 /// Knobs for one chaos run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ChaosOptions {
     /// Master seed: drives the schedule RNG and the per-site fault RNGs.
     pub seed: u64,
@@ -80,6 +81,10 @@ pub struct ChaosOptions {
     /// paper's protocol assumes reliable delivery and is expected to
     /// violate convergence under loss.
     pub with_reliable: bool,
+    /// Write every site's protocol events (fail-lock set/clear, copier
+    /// rounds, session changes) to `<dir>/site-<i>.jsonl`, so a seeded
+    /// violation can be replayed and diagnosed at the engine level.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl Default for ChaosOptions {
@@ -92,6 +97,7 @@ impl Default for ChaosOptions {
             drop: 0.10,
             duplicate: 0.05,
             with_reliable: true,
+            trace_dir: None,
         }
     }
 }
@@ -615,6 +621,12 @@ impl<T: Transport, M: Mailbox> Harness<T, M> {
     }
 }
 
+/// Chaos tracing: observed sites streaming into `dir`, or none.
+fn traced(dir: &Option<PathBuf>) -> Tracing {
+    dir.clone()
+        .map_or(Tracing::Off, |dir| Tracing::Observed(Some(dir)))
+}
+
 /// Run one randomized chaos schedule against a threaded channel cluster
 /// and return what happened. The caller decides what to do with
 /// violations (tests assert emptiness; the `chaos` binary prints the
@@ -630,8 +642,16 @@ pub fn run_thread_chaos(opts: ChaosOptions) -> ChaosOutcome {
         duplicate: opts.duplicate,
         ..FaultPlan::none(opts.seed)
     };
-    let (cluster, client, controls) =
-        Cluster::launch_faulty(config, ClusterTiming::default(), plan, opts.with_reliable);
+    let Launched {
+        cluster,
+        client,
+        controls,
+        ..
+    } = ClusterBuilder::new(config, ClusterTiming::default())
+        .faults(plan, opts.with_reliable)
+        .tracing(traced(&opts.trace_dir))
+        .launch()
+        .expect("launch chaos cluster");
 
     let mut harness = Harness {
         client,
@@ -641,7 +661,7 @@ pub fn run_thread_chaos(opts: ChaosOptions) -> ChaosOutcome {
         isolated: vec![false; opts.n_sites as usize],
         last_commit_coordinator: None,
         outcome: ChaosOutcome::default(),
-        opts,
+        opts: opts.clone(),
     };
     harness.trace(format!(
         "{{\"seed\":{},\"steps\":{},\"n_sites\":{},\"drop\":{},\"duplicate\":{},\"reliable\":{}}}",
@@ -741,7 +761,7 @@ pub fn run_thread_chaos(opts: ChaosOptions) -> ChaosOutcome {
 /// Knobs for a sharded chaos run: several independent replication
 /// groups under one [`ShardedClient`], with single- and cross-shard
 /// traffic, site kills and recoveries, and faulty links.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ShardChaosOptions {
     /// Master seed: drives the schedule RNG and the per-site fault RNGs.
     pub seed: u64,
@@ -773,6 +793,11 @@ pub struct ShardChaosOptions {
     /// Override [`ProtocolConfig::shard_redrive_interval_ms`] — the
     /// decide/append retry cadence. `None` keeps the config default.
     pub shard_redrive_interval_ms: Option<u64>,
+    /// The observability scenario: per-site and client (`client.jsonl`)
+    /// JSONL streams under this directory, and WAL-backed sites, so
+    /// traced transactions carry their covering group fsync in the span
+    /// tree.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl Default for ShardChaosOptions {
@@ -790,6 +815,7 @@ impl Default for ShardChaosOptions {
             kill_coordinator: None,
             shard_vote_timeout_ms: None,
             shard_redrive_interval_ms: None,
+            trace_dir: None,
         }
     }
 }
@@ -1315,12 +1341,8 @@ pub fn run_sharded_chaos(opts: ShardChaosOptions) -> ChaosOutcome {
         duplicate: opts.duplicate,
         ..FaultPlan::none(opts.seed)
     };
-    // A traced sharded run (`MINIRAID_CHAOS_TRACE_DIR`) is the
-    // observability scenario: back the sites with the WAL so traced
-    // transactions carry their covering group fsync in the span tree.
     let defaults = ProtocolConfig::default();
     let config = ProtocolConfig {
-        emit_persistence: std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").is_some(),
         shard_vote_timeout_ms: opts
             .shard_vote_timeout_ms
             .unwrap_or(defaults.shard_vote_timeout_ms),
@@ -1342,8 +1364,19 @@ pub fn run_sharded_chaos(opts: ShardChaosOptions) -> ChaosOutcome {
     if timing.participant_timeout < takeover_budget {
         timing.participant_timeout = takeover_budget;
     }
-    let (cluster, client, _controls) =
-        Cluster::launch_sharded_faulty(spec, config, timing, plan, opts.with_reliable);
+    let mut builder = ClusterBuilder::new(config, timing)
+        .topology(spec)
+        .faults(plan, opts.with_reliable)
+        .tracing(traced(&opts.trace_dir));
+    if opts.trace_dir.is_some() {
+        // A traced run backs its sites with the WAL (see `trace_dir`).
+        builder = builder.durable(
+            &std::env::temp_dir().join(format!("miniraid-shard-wal-{}", std::process::id())),
+        );
+    }
+    let Launched {
+        cluster, client, ..
+    } = builder.launch().expect("launch sharded chaos cluster");
 
     let mut harness = ShardHarness {
         client,
@@ -1353,7 +1386,7 @@ pub fn run_sharded_chaos(opts: ShardChaosOptions) -> ChaosOutcome {
         pending_writes: HashMap::new(),
         aborted_cross: Vec::new(),
         outcome: ChaosOutcome::default(),
-        opts,
+        opts: opts.clone(),
     };
     harness.trace(format!(
         "{{\"mode\":\"sharded\",\"seed\":{},\"steps\":{},\"groups\":{},\"sites_per_group\":{},\"cross_pct\":{},\"drop\":{},\"duplicate\":{},\"reliable\":{},\"kill_coordinator\":{:?}}}",
@@ -1478,7 +1511,7 @@ pub fn run_sharded_chaos(opts: ShardChaosOptions) -> ChaosOutcome {
 /// named globally, ownership decided by an epoch-versioned
 /// [`ShardMap`]) migrating live under foreground traffic, with a kill
 /// scheduled mid-migration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ReshardChaosOptions {
     /// Seed for the foreground schedule, the migration plan, the kill
     /// point placement and the fault plan.
@@ -1498,6 +1531,9 @@ pub struct ReshardChaosOptions {
     pub duplicate: f64,
     /// Re-send dropped 2PC frames (the reliable-delivery layer).
     pub with_reliable: bool,
+    /// Per-site and client (`client.jsonl`) JSONL streams under this
+    /// directory; the engines then also emit their persistence outputs.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl Default for ReshardChaosOptions {
@@ -1511,6 +1547,7 @@ impl Default for ReshardChaosOptions {
             drop: 0.0,
             duplicate: 0.0,
             with_reliable: true,
+            trace_dir: None,
         }
     }
 }
@@ -1966,7 +2003,7 @@ pub fn run_reshard_chaos(opts: ReshardChaosOptions) -> ChaosOutcome {
     };
     let defaults = ProtocolConfig::default();
     let config = ProtocolConfig {
-        emit_persistence: std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").is_some(),
+        emit_persistence: opts.trace_dir.is_some(),
         ..defaults
     };
     let mut timing = ClusterTiming::default();
@@ -1976,14 +2013,19 @@ pub fn run_reshard_chaos(opts: ReshardChaosOptions) -> ChaosOutcome {
         timing.participant_timeout = takeover_budget;
     }
     let initial = ShardMap::blocked(opts.n_groups, db_size);
-    let (cluster, mut client, _controls) = Cluster::launch_mapped_faulty(
-        spec,
-        config,
-        timing,
-        fault_plan,
-        opts.with_reliable,
-        initial.clone(),
-    );
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = ClusterBuilder::new(config, timing)
+        .topology(Mapped {
+            spec,
+            initial: initial.clone(),
+        })
+        .faults(fault_plan, opts.with_reliable)
+        .tracing(traced(&opts.trace_dir))
+        .launch()
+        .expect("launch mapped chaos cluster");
 
     let mut ctx = ReshardCtx {
         spec,
@@ -2234,10 +2276,8 @@ fn spawn_site(opts: &ProcChaosOptions, site: u8) -> std::io::Result<std::process
     .arg(&opts.durable_dir)
     .stderr(std::process::Stdio::null());
     if opts.drop > 0.0 || opts.duplicate > 0.0 {
-        // Same per-site seed derivation as `Cluster::launch_faulty`.
-        let seed = opts
-            .seed
-            .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(site as u64 + 1));
+        // The per-site seed a threaded cluster derives.
+        let seed = FaultPlan::none(opts.seed).for_site(site).seed;
         cmd.env(
             "MINIRAID_FAULTS",
             format!("{seed}:{}:{}", opts.drop, opts.duplicate),
@@ -2302,6 +2342,7 @@ pub fn run_process_chaos(opts: &ProcChaosOptions) -> ChaosOutcome {
             drop: opts.drop,
             duplicate: opts.duplicate,
             with_reliable: opts.with_reliable,
+            trace_dir: None,
         },
     };
     harness.trace(format!(

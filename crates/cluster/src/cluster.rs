@@ -1,689 +1,661 @@
-//! Cluster assembly: spawn one thread per site over a shared transport
-//! and hand back the managing client.
+//! Cluster assembly: one [`ClusterBuilder`] composes a site's transport
+//! layers, durability, tracing and topology, spawns one thread per site,
+//! and hands back the managing client.
 
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::engine::SiteEngine;
-use miniraid_core::ids::SiteId;
-use miniraid_core::partial::ReplicationMap;
+use miniraid_core::ids::{ItemId, SessionNumber, SiteId};
+use miniraid_core::trace::{SystemClock, Tracer};
 use miniraid_net::channel::{ChannelMailbox, ChannelNetwork, ChannelTransport};
 use miniraid_net::delay::DelayTransport;
 use miniraid_net::fault::{FaultControl, FaultPlan, FaultTransport};
 use miniraid_net::reliable::{reliable, ReliableConfig};
 use miniraid_net::tcp::{AddressPlan, TcpEndpoint, TcpMailbox, TcpTransport};
-
-use miniraid_shard::ShardSpec;
+use miniraid_net::{Mailbox, Transport};
+use miniraid_obs::MetricsHub;
+use miniraid_shard::{MapStore, ShardMap, ShardSpec};
+use miniraid_storage::{DurableStore, WalCounters};
 
 use crate::control::ManagingClient;
 use crate::obs::SiteObs;
 use crate::shard_client::ShardedClient;
 use crate::shard_site::{ShardMailbox, ShardTransport};
-use crate::site::{run_site, run_site_full, ClusterTiming};
+use crate::site::{run_site, ClusterTiming, SiteParts};
 
 /// A running cluster: join handles for every site thread.
 pub struct Cluster {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// What [`Cluster::launch_observed`] hands back: the cluster, the
-/// managing client, and one [`miniraid_obs::MetricsHub`] per site for
-/// in-process latency/abort inspection.
-pub type ObservedCluster = (
-    Cluster,
-    ManagingClient<ChannelTransport, ChannelMailbox>,
-    Vec<std::sync::Arc<miniraid_obs::MetricsHub>>,
-);
+/// What [`ClusterBuilder::launch`] hands back. Each vector holds one
+/// entry per physical site when its option was set, and is empty
+/// otherwise.
+pub struct Launched<C> {
+    /// The site threads.
+    pub cluster: Cluster,
+    /// The managing client at the physical manager id.
+    pub client: C,
+    /// Per-site metrics hubs ([`Tracing::Observed`]), for in-process
+    /// latency and abort inspection.
+    pub hubs: Vec<Arc<MetricsHub>>,
+    /// Per-site fault handles ([`ClusterBuilder::faults`]), for
+    /// scripting partitions.
+    pub controls: Vec<FaultControl>,
+    /// Per-site WAL counters ([`ClusterBuilder::durable`]): fsyncs,
+    /// commit records and bytes, without scraping metrics.
+    pub wal: Vec<Arc<WalCounters>>,
+}
+
+/// What every site's engine emits its protocol events into.
+#[derive(Debug, Clone, Default)]
+pub enum Tracing {
+    /// No tracer: an event costs one disabled check.
+    #[default]
+    Off,
+    /// A tracer into a sink that discards: clock stamp and dynamic
+    /// dispatch are paid, so a benchmark's numbers bound the tracing
+    /// overhead a real deployment pays.
+    NullSink,
+    /// A [`SiteObs`] per site: a metrics hub (returned in
+    /// [`Launched::hubs`]; scrapes then include latency histograms) and,
+    /// with a directory, JSONL streams `site-<i>.jsonl` plus — for a
+    /// sharded client, which allocates the per-transaction trace ids —
+    /// `client.jsonl`, from which `miniraid-ctl trace` reassembles one
+    /// span tree per transaction across the whole topology.
+    Observed(Option<PathBuf>),
+}
+
+/// One physical site's place in a [`Topology`].
+pub struct Seat {
+    /// The engine's id (group-local in a sharded topology).
+    pub id: SiteId,
+    /// The engine's configuration.
+    pub config: ProtocolConfig,
+    /// Replication group (0 when there is one).
+    pub group: u8,
+    /// The id the engine addresses the managing site by.
+    pub manager: SiteId,
+    /// The site thread's name.
+    pub name: String,
+    /// Shard translation between the engine and its transport.
+    pub shard: Option<ShardSpec>,
+    /// Live shard-map store (mapped topologies).
+    pub map: Option<MapStore>,
+}
+
+/// How a launch places its sites into replication groups; fixes the
+/// managing client's type.
+pub trait Topology {
+    /// The managing client over a manager endpoint `(T, M)`.
+    type Client<T: Transport, M: Mailbox>;
+    /// Physical database sites.
+    fn n_sites(&self, config: &ProtocolConfig) -> u8;
+    /// Where physical site `site` sits.
+    fn seat(&self, site: u8, config: &ProtocolConfig) -> Seat;
+    /// Wrap the manager endpoint; `trace_dir` is the launch's trace
+    /// directory, if any.
+    fn client<T: Transport, M: Mailbox>(
+        &self,
+        transport: T,
+        mailbox: M,
+        config: &ProtocolConfig,
+        trace_dir: Option<&Path>,
+    ) -> Self::Client<T, M>;
+}
+
+/// One replication group of `config.n_sites` sites — the paper's
+/// cluster. Site `i` runs in thread `miniraid-site-<i>`; the managing
+/// client is site id `n_sites`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Single;
+
+impl Topology for Single {
+    type Client<T: Transport, M: Mailbox> = ManagingClient<T, M>;
+
+    fn n_sites(&self, config: &ProtocolConfig) -> u8 {
+        config.n_sites
+    }
+
+    fn seat(&self, site: u8, config: &ProtocolConfig) -> Seat {
+        Seat {
+            id: SiteId(site),
+            config: config.clone(),
+            group: 0,
+            manager: SiteId(config.n_sites),
+            name: format!("miniraid-site-{site}"),
+            shard: None,
+            map: None,
+        }
+    }
+
+    fn client<T: Transport, M: Mailbox>(
+        &self,
+        transport: T,
+        mailbox: M,
+        config: &ProtocolConfig,
+        _trace_dir: Option<&Path>,
+    ) -> ManagingClient<T, M> {
+        ManagingClient::new(transport, mailbox, config.n_sites)
+    }
+}
+
+/// A sharded topology: physical sites `0..n_physical_sites()`, each
+/// running one engine for its replication group (`config` narrowed per
+/// group — see [`ShardSpec::group_config`]), with the sharded managing
+/// client at the physical manager id. Groups are fully independent
+/// clusters: session vectors, fail-locks and control transactions never
+/// cross a group boundary.
+impl Topology for ShardSpec {
+    type Client<T: Transport, M: Mailbox> = ShardedClient<T, M>;
+
+    fn n_sites(&self, _config: &ProtocolConfig) -> u8 {
+        self.n_physical_sites()
+    }
+
+    fn seat(&self, site: u8, config: &ProtocolConfig) -> Seat {
+        let (group, local) = self.local_site(SiteId(site));
+        Seat {
+            id: local,
+            config: self.group_config(config),
+            group,
+            manager: self.local_manager_alias(),
+            name: format!("miniraid-shard-{group}-{}", local.0),
+            shard: Some(*self),
+            map: None,
+        }
+    }
+
+    fn client<T: Transport, M: Mailbox>(
+        &self,
+        transport: T,
+        mailbox: M,
+        config: &ProtocolConfig,
+        trace_dir: Option<&Path>,
+    ) -> ShardedClient<T, M> {
+        let mut client = ShardedClient::with_config(transport, mailbox, *self, config);
+        if let Some(dir) = trace_dir {
+            if let Ok(sink) = miniraid_obs::json::JsonlSink::create(dir.join("client.jsonl")) {
+                client.set_tracer(Tracer::new(
+                    SiteId(self.n_physical_sites()),
+                    Arc::new(SystemClock::new()),
+                    Arc::new(sink),
+                ));
+            }
+        }
+        client
+    }
+}
+
+/// A *mapped* sharded topology: item placement is governed by a live,
+/// epoch-versioned [`ShardMap`] instead of the spec's frozen modulo
+/// stripe. Every group engine is configured over the full global
+/// keyspace (see [`ShardSpec::mapped_config`]), each site carries a
+/// [`MapStore`] preloaded with `initial`, and the site loop gates
+/// incoming transactions through it: a begin routed under a stale map
+/// bounces with `WrongEpoch` instead of reaching the engine. This is the
+/// topology the `Resharder` migrates live.
+#[derive(Debug, Clone)]
+pub struct Mapped {
+    /// Groups and sites per group.
+    pub spec: ShardSpec,
+    /// The map every site and the client start from.
+    pub initial: ShardMap,
+}
+
+impl Topology for Mapped {
+    type Client<T: Transport, M: Mailbox> = ShardedClient<T, M>;
+
+    fn n_sites(&self, _config: &ProtocolConfig) -> u8 {
+        self.spec.n_physical_sites()
+    }
+
+    fn seat(&self, site: u8, config: &ProtocolConfig) -> Seat {
+        let mut seat = self.spec.seat(site, config);
+        seat.config = self.spec.mapped_config(config);
+        seat.name = format!("miniraid-mapped-{}-{}", seat.group, seat.id.0);
+        let mut map = MapStore::new(seat.group);
+        map.install(
+            self.initial.epoch,
+            self.initial.assignment.clone(),
+            self.initial.migrating.clone(),
+        );
+        seat.map = Some(map);
+        seat
+    }
+
+    fn client<T: Transport, M: Mailbox>(
+        &self,
+        transport: T,
+        mailbox: M,
+        config: &ProtocolConfig,
+        trace_dir: Option<&Path>,
+    ) -> ShardedClient<T, M> {
+        let mut client = self.spec.client(transport, mailbox, config, trace_dir);
+        client.set_map(self.initial.clone());
+        client
+    }
+}
+
+/// The one way to launch a threaded cluster. `new(config, timing)` is
+/// the paper's cluster: [`Single`] topology over in-process channels,
+/// nothing layered. Each setter adds one orthogonal choice; the
+/// terminal picks channels ([`ClusterBuilder::launch`]) or localhost TCP
+/// ([`ClusterBuilder::launch_tcp`]). The manager's endpoint always stays
+/// plain: the managing client is the out-of-band measurement harness.
+///
+/// ```no_run
+/// # use miniraid_cluster::{ClusterBuilder, ClusterTiming};
+/// # use miniraid_core::config::ProtocolConfig;
+/// # use miniraid_net::fault::FaultPlan;
+/// let launched = ClusterBuilder::new(ProtocolConfig::default(), ClusterTiming::default())
+///     .faults(FaultPlan::none(7), true)
+///     .launch()?;
+/// # Ok::<(), std::io::Error>(())
+/// ```
+pub struct ClusterBuilder<P = Single> {
+    config: ProtocolConfig,
+    timing: ClusterTiming,
+    topology: P,
+    latency: Option<Duration>,
+    faults: Option<(FaultPlan, bool)>,
+    durable: Option<PathBuf>,
+    tracing: Tracing,
+}
+
+impl ClusterBuilder {
+    /// `config.n_sites` sites in one group, over channels.
+    pub fn new(config: ProtocolConfig, timing: ClusterTiming) -> Self {
+        ClusterBuilder {
+            config,
+            timing,
+            topology: Single,
+            latency: None,
+            faults: None,
+            durable: None,
+            tracing: Tracing::Off,
+        }
+    }
+}
+
+impl<P: Topology> ClusterBuilder<P> {
+    /// Place the sites by `topology`: a [`ShardSpec`] or a [`Mapped`]
+    /// spec (both hand back a [`ShardedClient`]).
+    pub fn topology<Q: Topology>(self, topology: Q) -> ClusterBuilder<Q> {
+        ClusterBuilder {
+            config: self.config,
+            timing: self.timing,
+            topology,
+            latency: self.latency,
+            faults: self.faults,
+            durable: self.durable,
+            tracing: self.tracing,
+        }
+    }
+
+    /// A fixed per-send latency on every site's transport, below any
+    /// shard translation, like the paper's measured 9 ms intersite
+    /// communication cost: what makes pipelining and group-level
+    /// parallelism measurable.
+    pub fn latency(mut self, latency: Duration) -> Self {
+        self.latency = Some(latency);
+        self
+    }
+
+    /// Seeded fault injection on every site's transport, each site with
+    /// its own stream ([`FaultPlan::for_site`]) so a whole run replays
+    /// from `plan.seed`, and — when `with_reliable` — the reliable
+    /// session layer on top, so lost, duplicated and reordered frames are
+    /// retransmitted and deduplicated before the engine sees them.
+    /// `with_reliable = false` is the negative control: the engines face
+    /// the raw lossy link, which the paper's protocol does *not* tolerate
+    /// (its §1.2 assumption 1 presumes reliable delivery).
+    pub fn faults(mut self, plan: FaultPlan, with_reliable: bool) -> Self {
+        self.faults = Some((plan, with_reliable));
+        self
+    }
+
+    /// WAL-backed storage under `dir/site-<i>/`, with `emit_persistence`
+    /// forced on. Each site recovers its committed image from disk before
+    /// joining. On a restart, each group's site with the highest
+    /// committed transaction comes up operational; the others come up
+    /// *down* (a process restart is a site failure in the paper's model)
+    /// and rejoin with `recover`, whose type-1 control transaction and
+    /// copiers refresh whatever their preloaded copy missed.
+    pub fn durable(mut self, dir: &Path) -> Self {
+        self.durable = Some(dir.to_path_buf());
+        self
+    }
+
+    /// What the engines trace into (default [`Tracing::Off`]).
+    pub fn tracing(mut self, tracing: Tracing) -> Self {
+        self.tracing = tracing;
+        self
+    }
+
+    /// Launch over in-process channels.
+    pub fn launch(self) -> std::io::Result<Launched<P::Client<ChannelTransport, ChannelMailbox>>> {
+        let n = self.topology.n_sites(&self.config);
+        let mut endpoints = ChannelNetwork::new(n as usize + 1);
+        let manager = endpoints.pop().expect("manager endpoint");
+        self.start(endpoints, manager)
+    }
+
+    /// Launch over TCP on localhost: site `i` listens on
+    /// `base_port + i`, the manager on `base_port + n_sites`.
+    pub fn launch_tcp(
+        self,
+        base_port: u16,
+    ) -> std::io::Result<Launched<P::Client<TcpTransport, TcpMailbox>>> {
+        let n = self.topology.n_sites(&self.config);
+        let plan = AddressPlan { base_port };
+        let sites = (0..n)
+            .map(|i| TcpEndpoint::bind(SiteId(i), plan))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let manager = TcpEndpoint::bind(SiteId(n), plan)?;
+        self.start(sites, manager)
+    }
+
+    /// The one spawn loop: site `i` gets `sites[i]`.
+    fn start<T, M>(
+        self,
+        sites: Vec<(T, M)>,
+        (mgr_transport, mgr_mailbox): (T, M),
+    ) -> std::io::Result<Launched<P::Client<T, M>>>
+    where
+        T: Transport + Sync + 'static,
+        M: Mailbox + 'static,
+    {
+        let mut config = self.config;
+        config.emit_persistence |= self.durable.is_some();
+        let trace_dir = match &self.tracing {
+            Tracing::Observed(dir) => dir.as_deref(),
+            _ => None,
+        };
+        if let Some(dir) = trace_dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        let seats: Vec<Seat> = (0..sites.len() as u8)
+            .map(|i| self.topology.seat(i, &config))
+            .collect();
+        let stores = seats
+            .iter()
+            .enumerate()
+            .map(|(i, seat)| match &self.durable {
+                Some(dir) => {
+                    DurableStore::open(&dir.join(format!("site-{i}")), seat.config.db_size)
+                        .map(Some)
+                        .map_err(std::io::Error::other)
+                }
+                None => Ok(None),
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let last: Vec<u64> = stores
+            .iter()
+            .map(|s| s.as_ref().map_or(0, DurableStore::last_txn))
+            .collect();
+        let rejoining = rejoining(&seats, &last);
+
+        let mut handles = Vec::with_capacity(seats.len());
+        let (mut hubs, mut controls, mut wal) = (Vec::new(), Vec::new(), Vec::new());
+        let layers = sites.into_iter().zip(seats).zip(stores).zip(rejoining);
+        for (i, ((((transport, mailbox), seat), store), rejoin)) in layers.enumerate() {
+            let mut engine = SiteEngine::new(seat.id, seat.config);
+            if let Some(store) = &store {
+                wal.push(store.counters());
+                restore(&mut engine, store);
+            }
+            if rejoin {
+                engine.assume_failed();
+            }
+            let obs = match &self.tracing {
+                Tracing::Off => None,
+                Tracing::NullSink => {
+                    engine.set_tracer(Tracer::new(
+                        seat.id,
+                        Arc::new(SystemClock::new()),
+                        Arc::new(miniraid_obs::NullSink),
+                    ));
+                    None
+                }
+                Tracing::Observed(dir) => {
+                    let path = dir.as_ref().map(|d| d.join(format!("site-{i}.jsonl")));
+                    let obs = SiteObs::attach(&mut engine, path.as_deref())?;
+                    hubs.push(obs.hub().clone());
+                    Some(obs)
+                }
+            };
+            let faults = self
+                .faults
+                .map(|(plan, with_reliable)| (plan.for_site(i as u8), with_reliable));
+            let site = Site {
+                name: seat.name,
+                engine,
+                manager: seat.manager,
+                timing: self.timing,
+                parts: SiteParts {
+                    store,
+                    obs,
+                    map: seat.map,
+                },
+                shard: seat.shard.map(|spec| (spec, seat.group)),
+            };
+            handles.push(match self.latency {
+                Some(latency) => with_faults(
+                    site,
+                    DelayTransport::new(transport, latency),
+                    mailbox,
+                    faults,
+                    &mut controls,
+                ),
+                None => with_faults(site, transport, mailbox, faults, &mut controls),
+            });
+        }
+        let client = self
+            .topology
+            .client(mgr_transport, mgr_mailbox, &config, trace_dir);
+        Ok(Launched {
+            cluster: Cluster { handles },
+            client,
+            hubs,
+            controls,
+            wal,
+        })
+    }
+}
+
+/// Which sites of a durable restart come up down. In each group that
+/// holds state, the bootstrap authority — the site with the highest
+/// committed transaction — comes up operational; the rest rejoin through
+/// type-1 control transactions (and copier refreshes).
+fn rejoining(seats: &[Seat], last: &[u64]) -> Vec<bool> {
+    (0..seats.len())
+        .map(|i| {
+            let group = || (0..seats.len()).filter(|&j| seats[j].group == seats[i].group);
+            group().any(|j| last[j] > 0) && group().max_by_key(|&j| last[j]) != Some(i)
+        })
+        .collect()
+}
+
+/// Load a store's durable state into a fresh engine. Instant restart:
+/// the checkpoint image (already in memory) loads eagerly, but WAL
+/// records hand the engine a lazy restart image — items hydrate on first
+/// touch or via the site loop's background replay, so the site is
+/// operational before the log is re-applied.
+fn restore(engine: &mut SiteEngine, store: &DurableStore) {
+    if store.last_txn() > 0 {
+        engine.preload_db(
+            store
+                .mem()
+                .iter()
+                .filter(|(_, v)| v.version > 0)
+                .map(|(item, v)| (ItemId(item), v)),
+        );
+        engine.preload_lazy(store.image());
+    }
+    engine.preload_faillocks(
+        store
+            .faillocks()
+            .iter()
+            .map(|(item, word)| (ItemId(*item), *word)),
+    );
+    if store.session() > 0 {
+        engine.preload_session(SessionNumber(store.session()));
+    }
+}
+
+/// One site, ready to run once its transport is layered.
+struct Site {
+    name: String,
+    engine: SiteEngine,
+    manager: SiteId,
+    timing: ClusterTiming,
+    parts: SiteParts,
+    shard: Option<(ShardSpec, u8)>,
+}
+
+/// Layer faults and the reliable session over a site's transport, then
+/// hand it to [`with_shard`]. The legal frame nesting is
+/// `Seq { ShardEnv {..} }`: reliability sits below the shard translation.
+fn with_faults<T, M>(
+    site: Site,
+    transport: T,
+    mailbox: M,
+    faults: Option<(FaultPlan, bool)>,
+    controls: &mut Vec<FaultControl>,
+) -> JoinHandle<()>
+where
+    T: Transport + Sync + 'static,
+    M: Mailbox + 'static,
+{
+    let Some((plan, with_reliable)) = faults else {
+        return with_shard(site, transport, mailbox);
+    };
+    let (transport, control) = FaultTransport::new(transport, plan);
+    controls.push(control);
+    if !with_reliable {
+        return with_shard(site, transport, mailbox);
+    }
+    // Threads never restart mid-run, so a fixed epoch keeps whole-cluster
+    // runs deterministic.
+    let cfg = ReliableConfig {
+        epoch: Some(1),
+        ..ReliableConfig::default()
+    };
+    let (transport, mailbox) = reliable(transport, mailbox, cfg);
+    with_shard(site, transport, mailbox)
+}
+
+/// Put the shard translation (if any) outermost and spawn the site thread.
+fn with_shard<T: Transport + 'static, M: Mailbox + 'static>(
+    site: Site,
+    transport: T,
+    mailbox: M,
+) -> JoinHandle<()> {
+    match site.shard {
+        Some((spec, group)) => spawn(
+            site,
+            ShardTransport::new(transport, spec, group),
+            ShardMailbox::new(mailbox, spec, group),
+        ),
+        None => spawn(site, transport, mailbox),
+    }
+}
+
+fn spawn<T: Transport + 'static, M: Mailbox + 'static>(
+    site: Site,
+    transport: T,
+    mailbox: M,
+) -> JoinHandle<()> {
+    let Site {
+        name,
+        engine,
+        manager,
+        timing,
+        parts,
+        ..
+    } = site;
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || run_site(engine, transport, mailbox, manager, timing, parts))
+        .expect("spawn site thread")
+}
 
 impl Cluster {
-    /// Launch `config.n_sites` sites as threads over in-process channels.
-    /// Returns the cluster handle and the managing client (site id
-    /// `n_sites`).
+    /// `ClusterBuilder::new(config, timing).launch()`. This and the four
+    /// launchers below stay for `benchmark/src/sut.rs`, which pins their
+    /// signatures, until a benchmark-typed change moves it to
+    /// [`ClusterBuilder`]; new callers use the builder.
     pub fn launch(
         config: ProtocolConfig,
         timing: ClusterTiming,
     ) -> (Cluster, ManagingClient<ChannelTransport, ChannelMailbox>) {
-        Self::launch_with_map(config, timing, None)
+        ClusterBuilder::new(config, timing)
+            .launch()
+            .map(|l| (l.cluster, l.client))
+            .expect("a channel launch without files cannot fail")
     }
 
-    /// Launch with an explicit replication map (partial replication).
-    pub fn launch_with_map(
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        map: Option<ReplicationMap>,
-    ) -> (Cluster, ManagingClient<ChannelTransport, ChannelMailbox>) {
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let mut handles = Vec::with_capacity(n as usize);
-        // After popping the manager's endpoint, the rest are sites 0..n.
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let engine = match &map {
-                Some(m) => SiteEngine::with_replication(SiteId(i as u8), config.clone(), m.clone()),
-                None => SiteEngine::new(SiteId(i as u8), config.clone()),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-site-{i}"))
-                .spawn(move || run_site(engine, transport, mailbox, manager_id, timing))
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        (Cluster { handles }, client)
-    }
-
-    /// Launch with observability attached to every site: each engine gets
-    /// a tracer feeding a per-site [`miniraid_obs::MetricsHub`] (returned
-    /// for in-process inspection), and — when `trace_dir` is given — a
-    /// JSONL trace file `trace_dir/site-<i>.jsonl`. Sites launched this
-    /// way answer metrics scrapes with latency histograms included.
+    /// [`Tracing::Observed`] over channels, with the metrics hubs.
+    #[allow(clippy::type_complexity)]
     pub fn launch_observed(
         config: ProtocolConfig,
         timing: ClusterTiming,
-        trace_dir: Option<&std::path::Path>,
-    ) -> std::io::Result<ObservedCluster> {
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        if let Some(dir) = trace_dir {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut handles = Vec::with_capacity(n as usize);
-        let mut hubs = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let mut engine = SiteEngine::new(SiteId(i as u8), config.clone());
-            let trace_path = trace_dir.map(|d| d.join(format!("site-{i}.jsonl")));
-            let obs = SiteObs::attach(&mut engine, trace_path.as_deref())?;
-            hubs.push(obs.hub().clone());
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-site-{i}"))
-                .spawn(move || {
-                    run_site_full(
-                        engine,
-                        transport,
-                        mailbox,
-                        manager_id,
-                        timing,
-                        None,
-                        Some(obs),
-                    )
-                })
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        Ok((Cluster { handles }, client, hubs))
-    }
-
-    /// Launch over in-process channels with a fixed per-send latency on
-    /// every site's transport (the manager's sends stay immediate), like
-    /// the paper's measured 9 ms intersite communication cost. Used by
-    /// the throughput benchmark, where intersite latency is what makes
-    /// pipelining overlap measurable.
-    ///
-    /// Every engine gets a null-sink tracer: the benchmark measures the
-    /// full event-emission path (clock stamp + dynamic dispatch into a
-    /// sink that discards), so its numbers bound the tracing overhead a
-    /// real deployment pays.
-    pub fn launch_with_latency(
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        latency: Duration,
-    ) -> (Cluster, ManagingClient<ChannelTransport, ChannelMailbox>) {
-        use miniraid_core::trace::{SystemClock, Tracer};
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let mut handles = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let mut engine = SiteEngine::new(SiteId(i as u8), config.clone());
-            engine.set_tracer(Tracer::new(
-                SiteId(i as u8),
-                std::sync::Arc::new(SystemClock::new()),
-                std::sync::Arc::new(miniraid_obs::NullSink),
-            ));
-            let transport = DelayTransport::new(transport, latency);
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-site-{i}"))
-                .spawn(move || run_site(engine, transport, mailbox, manager_id, timing))
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        (Cluster { handles }, client)
-    }
-
-    /// Launch over in-process channels with a seeded fault-injection
-    /// decorator on every site's transport and — when `with_reliable` is
-    /// set — the reliable session layer on top, so lost/duplicated/
-    /// reordered frames are retransmitted and deduplicated before the
-    /// engine sees them. The manager's endpoint stays plain (management
-    /// traffic is the out-of-band measurement harness, and the fault
-    /// decorator exempts it anyway). Each site derives its own RNG seed
-    /// from `plan.seed`, so a whole-cluster run is reproducible from one
-    /// number. Returns one [`FaultControl`] per site for scripting
-    /// one-way partitions.
-    ///
-    /// `with_reliable = false` is the negative control: the engines face
-    /// the raw lossy link, which the paper's protocol does *not* tolerate
-    /// (its §1.2 assumption 1 presumes reliable delivery).
-    pub fn launch_faulty(
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        plan: FaultPlan,
-        with_reliable: bool,
-    ) -> (
-        Cluster,
-        ManagingClient<ChannelTransport, ChannelMailbox>,
-        Vec<FaultControl>,
-    ) {
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        // Chaos debugging aid: when set, every site writes its protocol
-        // events (fail-lock set/clear, copier rounds, session changes) to
-        // `<dir>/site-<i>.jsonl`, so a seeded violation can be replayed
-        // and diagnosed at the engine level.
-        let trace_dir = std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").map(std::path::PathBuf::from);
-        if let Some(dir) = &trace_dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-
-        let mut handles = Vec::with_capacity(n as usize);
-        let mut controls = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let mut engine = SiteEngine::new(SiteId(i as u8), config.clone());
-            let obs = trace_dir.as_ref().and_then(|dir| {
-                SiteObs::attach(
-                    &mut engine,
-                    Some(dir.join(format!("site-{i}.jsonl")).as_path()),
-                )
-                .ok()
-            });
-            // Distinct per-site streams, all derived from the one seed.
-            let site_plan = FaultPlan {
-                seed: plan
-                    .seed
-                    .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ..plan
-            };
-            let (transport, control) = FaultTransport::new(transport, site_plan);
-            controls.push(control);
-            let handle = if with_reliable {
-                let cfg = ReliableConfig {
-                    // Threads never restart mid-run, so a fixed epoch
-                    // keeps whole-cluster runs deterministic.
-                    epoch: Some(1),
-                    ..ReliableConfig::default()
-                };
-                let (transport, mailbox) = reliable(transport, mailbox, cfg);
-                std::thread::Builder::new()
-                    .name(format!("miniraid-site-{i}"))
-                    .spawn(move || {
-                        run_site_full(engine, transport, mailbox, manager_id, timing, None, obs)
-                    })
-                    .expect("spawn site thread")
-            } else {
-                std::thread::Builder::new()
-                    .name(format!("miniraid-site-{i}"))
-                    .spawn(move || {
-                        run_site_full(engine, transport, mailbox, manager_id, timing, None, obs)
-                    })
-                    .expect("spawn site thread")
-            };
-            handles.push(handle);
-        }
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        (Cluster { handles }, client, controls)
-    }
-
-    /// Launch a sharded topology over in-process channels: physical
-    /// sites `0..spec.n_physical_sites()`, each running one engine for
-    /// its replication group (`config` narrowed per group — see
-    /// [`ShardSpec::group_config`]), with the sharded managing client
-    /// at the physical manager id. Groups are fully independent
-    /// clusters: session vectors, fail-locks and control transactions
-    /// never cross a group boundary.
-    pub fn launch_sharded(
-        spec: ShardSpec,
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-    ) -> (Cluster, ShardedClient<ChannelTransport, ChannelMailbox>) {
-        let n = spec.n_physical_sites();
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let group_config = spec.group_config(&config);
-        let mut handles = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let (group, local) = spec.local_site(SiteId(i as u8));
-            let engine = SiteEngine::new(local, group_config.clone());
-            let transport = ShardTransport::new(transport, spec, group);
-            let mailbox = ShardMailbox::new(mailbox, spec, group);
-            let manager = spec.local_manager_alias();
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-shard-{group}-{}", local.0))
-                .spawn(move || run_site(engine, transport, mailbox, manager, timing))
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ShardedClient::with_config(mgr_transport, mgr_mailbox, spec, &config);
-        (Cluster { handles }, client)
-    }
-
-    /// Launch a sharded topology with a fixed per-send intersite latency
-    /// on every site's transport (below the shard translation, so delays
-    /// apply to the physical hops). The manager's endpoint stays plain —
-    /// like [`Cluster::launch_with_latency`], the client is the
-    /// out-of-band measurement harness. Used by the shard-scaling
-    /// benchmark, where intersite latency is what makes group-level
-    /// parallelism measurable.
-    pub fn launch_sharded_with_latency(
-        spec: ShardSpec,
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        latency: Duration,
-    ) -> (Cluster, ShardedClient<ChannelTransport, ChannelMailbox>) {
-        let n = spec.n_physical_sites();
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let group_config = spec.group_config(&config);
-        let mut handles = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let (group, local) = spec.local_site(SiteId(i as u8));
-            let engine = SiteEngine::new(local, group_config.clone());
-            let transport =
-                ShardTransport::new(DelayTransport::new(transport, latency), spec, group);
-            let mailbox = ShardMailbox::new(mailbox, spec, group);
-            let manager = spec.local_manager_alias();
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-shard-{group}-{}", local.0))
-                .spawn(move || run_site(engine, transport, mailbox, manager, timing))
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ShardedClient::with_config(mgr_transport, mgr_mailbox, spec, &config);
-        (Cluster { handles }, client)
-    }
-
-    /// Launch a sharded topology with seeded fault injection on every
-    /// site's transport and — when `with_reliable` is set — the
-    /// reliable session layer between the faults and the shard
-    /// translation (the legal frame nesting is `Seq { ShardEnv {..} }`).
-    /// The manager's endpoint stays plain, as in [`launch_faulty`].
-    /// Returns one [`FaultControl`] per physical site, indexed by
-    /// physical id, for scripting partitions.
-    ///
-    /// [`launch_faulty`]: Cluster::launch_faulty
-    pub fn launch_sharded_faulty(
-        spec: ShardSpec,
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        plan: FaultPlan,
-        with_reliable: bool,
-    ) -> (
-        Cluster,
-        ShardedClient<ChannelTransport, ChannelMailbox>,
-        Vec<FaultControl>,
-    ) {
-        let n = spec.n_physical_sites();
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let trace_dir = std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").map(std::path::PathBuf::from);
-        if let Some(dir) = &trace_dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        // With `emit_persistence` set, each site gets a WAL-backed
-        // durable store (under `MINIRAID_SHARD_DURABLE_DIR`, or a
-        // process-scoped temp directory), so sharded runs exercise the
-        // group-commit fsync path and traced transactions carry
-        // `wal_fsync` events in their span trees.
-        let durable_dir: Option<std::path::PathBuf> = config.emit_persistence.then(|| {
-            std::env::var_os("MINIRAID_SHARD_DURABLE_DIR")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!("miniraid-shard-wal-{}", std::process::id()))
-                })
-        });
-
-        let group_config = spec.group_config(&config);
-        let mut handles = Vec::with_capacity(n as usize);
-        let mut controls = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let (group, local) = spec.local_site(SiteId(i as u8));
-            let mut engine = SiteEngine::new(local, group_config.clone());
-            let store = durable_dir.as_ref().map(|dir| {
-                miniraid_storage::DurableStore::open(
-                    &dir.join(format!("site-{i}")),
-                    group_config.db_size,
-                )
-                .expect("open sharded durable store")
-            });
-            let obs = trace_dir.as_ref().and_then(|dir| {
-                SiteObs::attach(
-                    &mut engine,
-                    Some(dir.join(format!("site-{i}.jsonl")).as_path()),
-                )
-                .ok()
-            });
-            // Same per-site seed derivation as `launch_faulty`, keyed by
-            // physical id so a whole sharded run replays from one seed.
-            let site_plan = FaultPlan {
-                seed: plan
-                    .seed
-                    .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ..plan
-            };
-            let (transport, control) = FaultTransport::new(transport, site_plan);
-            controls.push(control);
-            let manager = spec.local_manager_alias();
-            let handle = if with_reliable {
-                let cfg = ReliableConfig {
-                    epoch: Some(1),
-                    ..ReliableConfig::default()
-                };
-                let (transport, mailbox) = reliable(transport, mailbox, cfg);
-                let transport = ShardTransport::new(transport, spec, group);
-                let mailbox = ShardMailbox::new(mailbox, spec, group);
-                std::thread::Builder::new()
-                    .name(format!("miniraid-shard-{group}-{}", local.0))
-                    .spawn(move || {
-                        run_site_full(engine, transport, mailbox, manager, timing, store, obs)
-                    })
-                    .expect("spawn site thread")
-            } else {
-                let transport = ShardTransport::new(transport, spec, group);
-                let mailbox = ShardMailbox::new(mailbox, spec, group);
-                std::thread::Builder::new()
-                    .name(format!("miniraid-shard-{group}-{}", local.0))
-                    .spawn(move || {
-                        run_site_full(engine, transport, mailbox, manager, timing, store, obs)
-                    })
-                    .expect("spawn site thread")
-            };
-            handles.push(handle);
-        }
-        let mut client = ShardedClient::with_config(mgr_transport, mgr_mailbox, spec, &config);
-        // With chaos tracing on, the client gets its own trace stream
-        // (`client.jsonl`): it allocates per-transaction trace ids, and
-        // its cross-shard coordination milestones land beside the sites'
-        // per-engine streams so `miniraid-ctl trace` can reassemble one
-        // span tree per transaction across the whole topology.
-        if let Some(dir) = &trace_dir {
-            if let Ok(sink) = miniraid_obs::json::JsonlSink::create(dir.join("client.jsonl")) {
-                client.set_tracer(miniraid_core::trace::Tracer::new(
-                    SiteId(n),
-                    std::sync::Arc::new(miniraid_core::trace::SystemClock::new()),
-                    std::sync::Arc::new(sink),
-                ));
-            }
-        }
-        (Cluster { handles }, client, controls)
-    }
-
-    /// Launch a *mapped* sharded topology: like
-    /// [`launch_sharded_faulty`], but item placement is governed by a
-    /// live, epoch-versioned [`ShardMap`] instead of the spec's frozen
-    /// modulo stripe. Every group engine is configured over the full
-    /// global keyspace (identity item naming — see
-    /// [`ShardSpec::mapped_config`]), each site carries a
-    /// [`MapStore`] preloaded with `initial`, and the site loop gates
-    /// incoming transactions through it: a begin routed under a stale
-    /// map bounces with `WrongEpoch` instead of reaching the engine.
-    /// This is the topology the resharder migrates live — see
-    /// `Resharder`.
-    ///
-    /// [`launch_sharded_faulty`]: Cluster::launch_sharded_faulty
-    /// [`ShardMap`]: miniraid_shard::ShardMap
-    /// [`MapStore`]: miniraid_shard::MapStore
-    pub fn launch_mapped_faulty(
-        spec: ShardSpec,
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        plan: FaultPlan,
-        with_reliable: bool,
-        initial: miniraid_shard::ShardMap,
-    ) -> (
-        Cluster,
-        ShardedClient<ChannelTransport, ChannelMailbox>,
-        Vec<FaultControl>,
-    ) {
-        let n = spec.n_physical_sites();
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        let trace_dir = std::env::var_os("MINIRAID_CHAOS_TRACE_DIR").map(std::path::PathBuf::from);
-        if let Some(dir) = &trace_dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-
-        let mapped_config = spec.mapped_config(&config);
-        let mut handles = Vec::with_capacity(n as usize);
-        let mut controls = Vec::with_capacity(n as usize);
-        for (i, (transport, mailbox)) in endpoints.into_iter().enumerate() {
-            let (group, local) = spec.local_site(SiteId(i as u8));
-            let mut engine = SiteEngine::new(local, mapped_config.clone());
-            let obs = trace_dir.as_ref().and_then(|dir| {
-                SiteObs::attach(
-                    &mut engine,
-                    Some(dir.join(format!("site-{i}.jsonl")).as_path()),
-                )
-                .ok()
-            });
-            let site_plan = FaultPlan {
-                seed: plan
-                    .seed
-                    .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ..plan
-            };
-            let (transport, control) = FaultTransport::new(transport, site_plan);
-            controls.push(control);
-            let manager = spec.local_manager_alias();
-            let mut map_store = miniraid_shard::MapStore::new(group);
-            map_store.install(
-                initial.epoch,
-                initial.assignment.clone(),
-                initial.migrating.clone(),
-            );
-            let handle = if with_reliable {
-                let cfg = ReliableConfig {
-                    epoch: Some(1),
-                    ..ReliableConfig::default()
-                };
-                let (transport, mailbox) = reliable(transport, mailbox, cfg);
-                let transport = ShardTransport::new(transport, spec, group);
-                let mailbox = ShardMailbox::new(mailbox, spec, group);
-                std::thread::Builder::new()
-                    .name(format!("miniraid-mapped-{group}-{}", local.0))
-                    .spawn(move || {
-                        crate::site::run_site_mapped(
-                            engine,
-                            transport,
-                            mailbox,
-                            manager,
-                            timing,
-                            None,
-                            obs,
-                            Some(map_store),
-                        )
-                    })
-                    .expect("spawn site thread")
-            } else {
-                let transport = ShardTransport::new(transport, spec, group);
-                let mailbox = ShardMailbox::new(mailbox, spec, group);
-                std::thread::Builder::new()
-                    .name(format!("miniraid-mapped-{group}-{}", local.0))
-                    .spawn(move || {
-                        crate::site::run_site_mapped(
-                            engine,
-                            transport,
-                            mailbox,
-                            manager,
-                            timing,
-                            None,
-                            obs,
-                            Some(map_store),
-                        )
-                    })
-                    .expect("spawn site thread")
-            };
-            handles.push(handle);
-        }
-        let mut client = ShardedClient::with_config(mgr_transport, mgr_mailbox, spec, &config);
-        client.set_map(initial);
-        if let Some(dir) = &trace_dir {
-            if let Ok(sink) = miniraid_obs::json::JsonlSink::create(dir.join("client.jsonl")) {
-                client.set_tracer(miniraid_core::trace::Tracer::new(
-                    SiteId(n),
-                    std::sync::Arc::new(miniraid_core::trace::SystemClock::new()),
-                    std::sync::Arc::new(sink),
-                ));
-            }
-        }
-        (Cluster { handles }, client, controls)
-    }
-
-    /// Launch with WAL-backed durable storage under `dir/site-<i>/`.
-    ///
-    /// Each site recovers its committed database image from disk before
-    /// joining; a site restarted this way comes up *down* (a process
-    /// restart is a site failure in the paper's model) and must be
-    /// brought back with `recover`, which runs the type-1 control
-    /// transaction and refreshes whatever its preloaded copy missed.
-    /// `emit_persistence` is forced on.
-    pub fn launch_durable(
-        config: ProtocolConfig,
-        timing: ClusterTiming,
-        dir: &std::path::Path,
-    ) -> std::io::Result<(Cluster, ManagingClient<ChannelTransport, ChannelMailbox>)> {
-        let (cluster, client, _) = Self::launch_durable_instrumented(config, timing, dir)?;
-        Ok((cluster, client))
-    }
-
-    /// [`Cluster::launch_durable`], additionally returning each site's
-    /// shared WAL counter handle (fsyncs, commit records, bytes) so a
-    /// benchmark harness can compute fsyncs-per-committed-transaction
-    /// without scraping metrics.
-    #[allow(clippy::type_complexity)]
-    pub fn launch_durable_instrumented(
-        mut config: ProtocolConfig,
-        timing: ClusterTiming,
-        dir: &std::path::Path,
+        trace_dir: Option<&Path>,
     ) -> std::io::Result<(
         Cluster,
         ManagingClient<ChannelTransport, ChannelMailbox>,
-        Vec<std::sync::Arc<miniraid_storage::WalCounters>>,
+        Vec<Arc<MetricsHub>>,
     )> {
-        config.emit_persistence = true;
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let mut endpoints = ChannelNetwork::new(n as usize + 1);
-        let (mgr_transport, mgr_mailbox) = endpoints.pop().expect("manager endpoint");
-
-        // Open every store first to find the bootstrap authority of a
-        // full-cluster restart: the site with the highest committed
-        // transaction comes up operational, the rest rejoin through
-        // type-1 control transactions (and copier refreshes).
-        let mut stores = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let site_dir = dir.join(format!("site-{i}"));
-            let store = miniraid_storage::DurableStore::open(&site_dir, config.db_size)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            stores.push(store);
-        }
-        let any_state = stores.iter().any(|s| s.last_txn() > 0);
-        let bootstrap: Option<usize> = any_state.then(|| {
-            (0..stores.len())
-                .max_by_key(|i| stores[*i].last_txn())
-                .expect("at least one site")
-        });
-
-        let mut handles = Vec::with_capacity(n as usize);
-        let mut counters = Vec::with_capacity(n as usize);
-        for ((i, (transport, mailbox)), store) in endpoints.into_iter().enumerate().zip(stores) {
-            counters.push(store.counters());
-            let mut engine = SiteEngine::new(SiteId(i as u8), config.clone());
-            if store.last_txn() > 0 {
-                // Instant restart: the checkpoint image (already in
-                // memory) loads eagerly, but WAL records hand the engine
-                // a lazy restart image — items hydrate on first touch or
-                // via the site loop's background replay, so the site is
-                // operational before the log is re-applied.
-                engine.preload_db(
-                    store
-                        .mem()
-                        .iter()
-                        .filter(|(_, v)| v.version > 0)
-                        .map(|(item, v)| (miniraid_core::ids::ItemId(item), v)),
-                );
-                engine.preload_lazy(store.image());
-            }
-            engine.preload_faillocks(
-                store
-                    .faillocks()
-                    .iter()
-                    .map(|(item, word)| (miniraid_core::ids::ItemId(*item), *word)),
-            );
-            if store.session() > 0 {
-                engine.preload_session(miniraid_core::ids::SessionNumber(store.session()));
-            }
-            if any_state && bootstrap != Some(i) {
-                // Restarted, non-authoritative: rejoin via Recover.
-                engine.assume_failed();
-            }
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-site-{i}"))
-                .spawn(move || {
-                    crate::site::run_site_durable(
-                        engine,
-                        transport,
-                        mailbox,
-                        manager_id,
-                        timing,
-                        Some(store),
-                    )
-                })
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        Ok((Cluster { handles }, client, counters))
+        ClusterBuilder::new(config, timing)
+            .tracing(Tracing::Observed(trace_dir.map(Path::to_path_buf)))
+            .launch()
+            .map(|l| (l.cluster, l.client, l.hubs))
     }
 
-    /// Launch over real TCP sockets on localhost. Site `i` listens on
-    /// `base_port + i`; the manager on `base_port + n_sites`.
+    /// [`ClusterBuilder::durable`] over channels, with the WAL counters.
+    #[allow(clippy::type_complexity)]
+    pub fn launch_durable_instrumented(
+        config: ProtocolConfig,
+        timing: ClusterTiming,
+        dir: &Path,
+    ) -> std::io::Result<(
+        Cluster,
+        ManagingClient<ChannelTransport, ChannelMailbox>,
+        Vec<Arc<WalCounters>>,
+    )> {
+        ClusterBuilder::new(config, timing)
+            .durable(dir)
+            .launch()
+            .map(|l| (l.cluster, l.client, l.wal))
+    }
+
+    /// `ClusterBuilder::new(config, timing).launch_tcp(base_port)`.
     pub fn launch_tcp(
         config: ProtocolConfig,
         timing: ClusterTiming,
         base_port: u16,
     ) -> std::io::Result<(Cluster, ManagingClient<TcpTransport, TcpMailbox>)> {
-        let n = config.n_sites;
-        let manager_id = SiteId(n);
-        let plan = AddressPlan { base_port };
-        let mut handles = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let (transport, mailbox) = TcpEndpoint::bind(SiteId(i), plan)?;
-            let engine = SiteEngine::new(SiteId(i), config.clone());
-            let handle = std::thread::Builder::new()
-                .name(format!("miniraid-site-{i}"))
-                .spawn(move || run_site(engine, transport, mailbox, manager_id, timing))
-                .expect("spawn site thread");
-            handles.push(handle);
-        }
-        let (mgr_transport, mgr_mailbox) = TcpEndpoint::bind(manager_id, plan)?;
-        let client = ManagingClient::new(mgr_transport, mgr_mailbox, n);
-        Ok((Cluster { handles }, client))
+        ClusterBuilder::new(config, timing)
+            .launch_tcp(base_port)
+            .map(|l| (l.cluster, l.client))
+    }
+
+    /// A [`ShardSpec`] topology over channels.
+    pub fn launch_sharded(
+        spec: ShardSpec,
+        config: ProtocolConfig,
+        timing: ClusterTiming,
+    ) -> (Cluster, ShardedClient<ChannelTransport, ChannelMailbox>) {
+        ClusterBuilder::new(config, timing)
+            .topology(spec)
+            .launch()
+            .map(|l| (l.cluster, l.client))
+            .expect("a channel launch without files cannot fail")
     }
 
     /// Wait for every site thread to exit (after `terminate_all`). Call

@@ -22,10 +22,10 @@ pub use chaos::{
     run_process_chaos, run_reshard_chaos, run_sharded_chaos, run_thread_chaos, ChaosOptions,
     ChaosOutcome, ProcChaosOptions, ReshardChaosOptions, ShardChaosOptions,
 };
-pub use cluster::Cluster;
+pub use cluster::{Cluster, ClusterBuilder, Launched, Mapped, Seat, Single, Topology, Tracing};
 pub use control::{ControlError, ManagingClient};
 pub use obs::SiteObs;
 pub use resharder::{ReshardKillPoint, ReshardStats, Resharder};
 pub use shard_client::{CoordKillPoint, ShardedClient, ShardedReport};
 pub use shard_site::{ShardMailbox, ShardTransport};
-pub use site::ClusterTiming;
+pub use site::{ClusterTiming, SiteParts};

@@ -154,33 +154,6 @@ impl Timers {
     }
 }
 
-/// Run one site until it terminates. Intended to be the body of a
-/// dedicated thread (see `Cluster::launch`).
-pub fn run_site<T: Transport, M: Mailbox>(
-    engine: SiteEngine,
-    transport: T,
-    mailbox: M,
-    manager: SiteId,
-    timing: ClusterTiming,
-) {
-    run_site_full(engine, transport, mailbox, manager, timing, None, None)
-}
-
-/// Like [`run_site`], with an optional WAL-backed durable store: every
-/// `Output::Persist` is logged, and fsynced before any message of the
-/// same mailbox drain leaves, so a restarted process can preload the
-/// committed image (see `Cluster::launch_durable`).
-pub fn run_site_durable<T: Transport, M: Mailbox>(
-    engine: SiteEngine,
-    transport: T,
-    mailbox: M,
-    manager: SiteId,
-    timing: ClusterTiming,
-    store: Option<DurableStore>,
-) {
-    run_site_full(engine, transport, mailbox, manager, timing, store, None)
-}
-
 /// Items hydrated per event-loop iteration while a restart image is
 /// draining in the background (instant restart).
 const HYDRATE_CHUNK: u32 = 256;
@@ -429,51 +402,50 @@ fn gate_map<T: Transport>(
     }
 }
 
-/// Full-featured site loop: optional durable store, optional
-/// observability ([`SiteObs`]). When observability is attached the site
-/// answers [`Message::MetricsRequest`] with a Prometheus-style text
-/// exposition of its counters and latency histograms; without it, with
-/// counters only. Metrics requests are answered even while the site is
-/// "down" — the observer is outside the failure model, like the paper's
-/// measurement harness.
-pub fn run_site_full<T: Transport, M: Mailbox>(
-    engine: SiteEngine,
-    transport: T,
-    mailbox: M,
-    manager: SiteId,
-    timing: ClusterTiming,
-    store: Option<DurableStore>,
-    obs: Option<SiteObs>,
-) {
-    run_site_mapped(
-        engine, transport, mailbox, manager, timing, store, obs, None,
-    )
+/// What a site runs with besides its engine and endpoints. Every part is
+/// optional; `SiteParts::default()` is the paper's in-memory site.
+#[derive(Default)]
+pub struct SiteParts {
+    /// WAL-backed durable store: every `Output::Persist` is logged, and
+    /// fsynced before any message of the same mailbox drain leaves, so a
+    /// restarted process can preload the committed image.
+    pub store: Option<DurableStore>,
+    /// Observability: metrics scrapes include latency histograms, and the
+    /// JSONL trace (if any) is flushed when the site terminates.
+    pub obs: Option<SiteObs>,
+    /// Live shard-map store of a mapped (live-reshardable) deployment:
+    /// the site answers `MapChange`/`MapQuery`, GC's its decision-log
+    /// replica on `XLogRetire`, gates every incoming `Mgmt(Begin)`
+    /// through the installed map (stale routes bounce with `WrongEpoch`),
+    /// and appends the `miniraid_reshard_*` family to its metrics.
+    pub map: Option<MapStore>,
 }
 
-/// [`run_site_full`] plus a live shard-map store: the site answers
-/// `MapChange`/`MapQuery`, GC's its decision-log replica on
-/// `XLogRetire`, gates every incoming `Mgmt(Begin)` through the
-/// installed map (stale routes bounce with `WrongEpoch`), and appends
-/// the `miniraid_reshard_*` family to its metrics exposition. Used by
-/// mapped (live-reshardable) deployments — see
-/// `Cluster::launch_mapped_faulty`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_mapped<T: Transport, M: Mailbox>(
+/// Run one site until it terminates; the body of a dedicated thread
+/// (see `ClusterBuilder`) or of a site process. The site answers
+/// [`Message::MetricsRequest`] with a Prometheus-style text exposition
+/// — with latency histograms when [`SiteParts::obs`] is attached, with
+/// counters only otherwise. Metrics requests are answered even while
+/// the site is "down": the observer is outside the failure model, like
+/// the paper's measurement harness.
+pub fn run_site<T: Transport, M: Mailbox>(
     mut engine: SiteEngine,
     transport: T,
     mailbox: M,
     manager: SiteId,
     timing: ClusterTiming,
-    store: Option<DurableStore>,
-    obs: Option<SiteObs>,
-    map: Option<MapStore>,
+    parts: SiteParts,
 ) {
+    let SiteParts {
+        store,
+        obs,
+        mut map,
+    } = parts;
     let mut timers = Timers::default();
     let mut out: Vec<Output> = Vec::new();
     // This site's XDecisionLog replica (populated only when it belongs
     // to the designated log group of a sharded topology).
     let mut xlog = XLogStore::new();
-    let mut map = map;
     // Per-peer outbound frames under construction, and the buffer pool
     // they recycle through (no per-drain allocation in steady state).
     let mut outbound: Vec<(SiteId, Vec<Message>)> = Vec::new();
@@ -541,51 +513,25 @@ pub fn run_site_mapped<T: Transport, M: Mailbox>(
         // during one fsync is the next drain, so groups grow with the
         // fsync's cost and nothing waits for company.
         out.clear();
-        let mut drained = false;
-        match mailbox.recv_timeout(wait) {
-            Ok((from, msg)) => {
-                drained = true;
-                match msg {
-                    Message::MetricsRequest => {
-                        serve_metrics(&mut engine, &transport, &obs, &durable, &timers, &map, from)
-                    }
-                    msg @ (Message::XLogAppend { .. } | Message::XLogQuery { .. }) => {
-                        serve_xlog(&transport, &mut xlog, from, msg)
-                    }
-                    msg => {
-                        if let Some(msg) = gate_map(&transport, &mut map, &mut xlog, from, msg) {
-                            engine.handle(Input::Deliver { from, msg }, &mut out)
-                        }
+        let mut next = mailbox.recv_timeout(wait);
+        let drained = next.is_ok();
+        loop {
+            match next {
+                Ok((from, Message::MetricsRequest)) => {
+                    serve_metrics(&mut engine, &transport, &obs, &durable, &timers, &map, from)
+                }
+                Ok((from, msg @ (Message::XLogAppend { .. } | Message::XLogQuery { .. }))) => {
+                    serve_xlog(&transport, &mut xlog, from, msg)
+                }
+                Ok((from, msg)) => {
+                    if let Some(msg) = gate_map(&transport, &mut map, &mut xlog, from, msg) {
+                        engine.handle(Input::Deliver { from, msg }, &mut out)
                     }
                 }
-                loop {
-                    match mailbox.try_recv() {
-                        Ok((from, Message::MetricsRequest)) => serve_metrics(
-                            &mut engine,
-                            &transport,
-                            &obs,
-                            &durable,
-                            &timers,
-                            &map,
-                            from,
-                        ),
-                        Ok((
-                            from,
-                            msg @ (Message::XLogAppend { .. } | Message::XLogQuery { .. }),
-                        )) => serve_xlog(&transport, &mut xlog, from, msg),
-                        Ok((from, msg)) => {
-                            if let Some(msg) = gate_map(&transport, &mut map, &mut xlog, from, msg)
-                            {
-                                engine.handle(Input::Deliver { from, msg }, &mut out)
-                            }
-                        }
-                        Err(RecvError::Timeout) => break,
-                        Err(RecvError::Disconnected) => return,
-                    }
-                }
+                Err(RecvError::Timeout) => break,
+                Err(RecvError::Disconnected) => return,
             }
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Disconnected) => return,
+            next = mailbox.try_recv();
         }
         if drained {
             perform(

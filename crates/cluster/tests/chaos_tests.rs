@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use miniraid_cluster::control::ManagingClient;
-use miniraid_cluster::{Cluster, ClusterTiming};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched};
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, SiteId, TxnId};
 use miniraid_core::ops::{Operation, Transaction};
@@ -81,8 +81,14 @@ fn run_scenario(drop: f64, duplicate: f64, with_reliable: bool) -> ScenarioResul
         delay: 0.0,
         max_delay: Duration::ZERO,
     };
-    let (cluster, mut client, _controls) =
-        Cluster::launch_faulty(config, timing(), plan, with_reliable);
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = ClusterBuilder::new(config, timing())
+        .faults(plan, with_reliable)
+        .launch()
+        .unwrap();
 
     let mut clean = true;
     let mut detail = String::new();

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use miniraid_cluster::{Cluster, ClusterTiming};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched};
 use miniraid_core::config::{ProtocolConfig, TwoStepRecovery};
 use miniraid_core::ids::{ItemId, SiteId};
 use miniraid_core::ops::{Operation, Transaction};
@@ -38,6 +38,11 @@ fn config() -> ProtocolConfig {
     }
 }
 
+/// A durable cluster under `dir` with this file's timers.
+fn durable(config: ProtocolConfig, dir: &std::path::Path) -> ClusterBuilder {
+    ClusterBuilder::new(config, timing()).durable(dir)
+}
+
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let mut dir = std::env::temp_dir();
     dir.push(format!(
@@ -54,7 +59,11 @@ fn committed_writes_survive_a_full_cluster_restart() {
 
     // First incarnation: commit some writes, shut down cleanly.
     {
-        let (cluster, mut client) = Cluster::launch_durable(config(), timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config(), &dir).launch().unwrap();
         for item in 0..5u32 {
             let id = client.next_txn_id();
             let report = client
@@ -73,7 +82,11 @@ fn committed_writes_survive_a_full_cluster_restart() {
     // Second incarnation: the bootstrap site serves immediately; the
     // others rejoin through recovery.
     {
-        let (cluster, mut client) = Cluster::launch_durable(config(), timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config(), &dir).launch().unwrap();
         // Bring the two non-bootstrap sites back. recover() on the
         // already-up bootstrap site times out harmlessly at the engine
         // level, and a site mid-rejoin can miss one fixed-size window
@@ -134,8 +147,11 @@ fn instant_restart_serves_reads_during_background_replay() {
     // so the REDO log holds far more items than one background
     // hydration chunk replays per loop iteration.
     {
-        let (cluster, mut client) =
-            Cluster::launch_durable(config.clone(), timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config.clone(), &dir).launch().unwrap();
         for k in 0..100u32 {
             let id = client.next_txn_id();
             let writes: Vec<Operation> = (0..6)
@@ -159,7 +175,11 @@ fn instant_restart_serves_reads_during_background_replay() {
     // target items the background sweep reaches last — must already see
     // the committed values (on-demand chain replay).
     {
-        let (cluster, mut client) = Cluster::launch_durable(config, timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config, &dir).launch().unwrap();
         let bootstrap = (0..3u8)
             .find(|s| {
                 let id = client.next_txn_id();
@@ -203,7 +223,11 @@ fn restart_after_missing_commits_refreshes_via_recovery() {
     // Incarnation 1: write v1 everywhere, then keep writing while one
     // site is "failed" so its durable image goes stale.
     {
-        let (cluster, mut client) = Cluster::launch_durable(config(), timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config(), &dir).launch().unwrap();
         let id = client.next_txn_id();
         client
             .run_txn(
@@ -230,7 +254,11 @@ fn restart_after_missing_commits_refreshes_via_recovery() {
     // authority (site 0 or 1, which saw txn further) serves v2, and site
     // 2's recovery + batch copiers bring it to v2.
     {
-        let (cluster, mut client) = Cluster::launch_durable(config(), timing(), &dir).unwrap();
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config(), &dir).launch().unwrap();
         for s in 0..3u8 {
             let _ = client.recover(SiteId(s), Duration::from_secs(2));
         }

@@ -53,6 +53,19 @@ impl FaultPlan {
         }
     }
 
+    /// Site `site`'s own plan: the same probabilities, and a seed
+    /// derived from this one (`seed + 0x9e3779b97f4a7c15 * (site + 1)`,
+    /// wrapping), so every site of a cluster draws a distinct stream and
+    /// a whole run replays from one number.
+    pub fn for_site(self, site: u8) -> Self {
+        FaultPlan {
+            seed: self
+                .seed
+                .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(site as u64 + 1)),
+            ..self
+        }
+    }
+
     /// Parse the `MINIRAID_FAULTS` env format
     /// `seed:drop:dup[:delay_p:delay_ms]`, e.g. `42:0.1:0.05:0.2:30`.
     /// Trailing fields default to zero.
@@ -368,6 +381,34 @@ mod tests {
         assert!(FaultPlan::parse("1:2.0").is_err());
         assert!(FaultPlan::parse("1:0:0:0:0:9").is_err());
         assert!(FaultPlan::parse("x:0.1").is_err());
+    }
+
+    #[test]
+    fn per_site_seeds_replay_recorded_runs() {
+        // Recorded chaos seeds replay only while these stay put.
+        let seeds = |seed| (0..5).map(move |i| FaultPlan::none(seed).for_site(i).seed);
+        assert!(seeds(1).eq([
+            11400714819323198486,
+            4354685564936845355,
+            15755400384260043840,
+            8709371129873690709,
+            1663341875487337578,
+        ]));
+        assert!(seeds(7).eq([
+            11400714819323198492,
+            4354685564936845361,
+            15755400384260043846,
+            8709371129873690715,
+            1663341875487337584,
+        ]));
+        let plan = FaultPlan::parse("3:0.1:0.05:0.2:30").unwrap();
+        assert_eq!(
+            FaultPlan {
+                seed: 3,
+                ..plan.for_site(2)
+            },
+            plan
+        );
     }
 
     #[test]

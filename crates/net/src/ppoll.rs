@@ -5,10 +5,9 @@
 //! be downloaded — so the one readiness call [`crate::tcp::TcpMailbox`]
 //! needs is declared here, behind a safe wrapper, and this file holds
 //! the crate's only foreign call. `ppoll` rather than `poll` because
-//! its timeout is a nanosecond `timespec`: the site loop asks for 150 µs
-//! group-commit lingers and 1 ms hydration slices, which `poll`'s whole
-//! milliseconds would round to 0 (a spin) or to 1 ms (a sevenfold
-//! overshoot).
+//! its timeout is a nanosecond `timespec`: the site loop sleeps exactly
+//! until its next timer deadline, and `poll`'s whole milliseconds would
+//! round a sub-millisecond remainder to 0 (a spin) or up (a late timer).
 //!
 //! Linux and the BSDs only — what CI, the benchmark and `miniraid-site`
 //! run on. Other targets fail to compile rather than getting a second

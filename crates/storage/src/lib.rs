@@ -4,9 +4,9 @@
 //! virtual memory of each process" and explicitly factored data I/O out of
 //! its measurements. This crate provides that in-memory mode faithfully
 //! ([`MemStore`]) and, because a downstream system needs durability, a
-//! production path as well: a checksummed write-ahead log ([`wal`]),
-//! snapshots ([`snapshot`]), and a combined [`DurableStore`] that recovers
-//! the committed prefix after a crash.
+//! production path as well: a checksummed REDO log with group commit and
+//! instant restart ([`redo`]), snapshots ([`snapshot`]), and a combined
+//! [`DurableStore`] that recovers the committed prefix after a crash.
 //!
 //! Keys are dense `u32` item identifiers (the paper's database is a fixed
 //! universe of "frequently referenced data items"); values carry a version
@@ -17,12 +17,10 @@ pub mod durable;
 pub mod mem;
 pub mod redo;
 pub mod snapshot;
-pub mod wal;
 
 pub use durable::DurableStore;
 pub use mem::MemStore;
 pub use redo::{GroupCommitWal, LazyImage, WalCounters};
-pub use wal::{Wal, WalRecord};
 
 use serde::{Deserialize, Serialize};
 

@@ -1,9 +1,5 @@
-//! REDO-only write-ahead logging with group commit and instant restart.
-//!
-//! The legacy [`crate::wal`] module frames a committed transaction as
-//! `Begin / Write* / Commit` and fsyncs once per transaction. This module
-//! replaces that on the production path with the design of Sauer &
-//! Härder's single-pass REDO recovery:
+//! REDO-only write-ahead logging with group commit and instant restart,
+//! after Sauer & Härder's single-pass REDO recovery:
 //!
 //! * **Self-contained commit records.** One [`RedoRecord::Commit`] frame
 //!   carries a transaction's whole write set (plus the fail-lock words it
@@ -29,11 +25,11 @@
 //!   [`LazyImage::take_next`]. A restarted site is operational as soon as
 //!   the scan finishes.
 //!
-//! Frame format is shared with the legacy WAL —
-//! `[u32 payload_len][u32 crc32(payload)][payload]`, little-endian, replay
-//! stopping at the first corrupt or truncated frame — but record tags live
-//! in a disjoint namespace (`0x21..`), so a legacy log is never misread as
-//! a REDO log (and vice versa).
+//! Frames are `[u32 payload_len][u32 crc32(payload)][payload]`,
+//! little-endian, and replay stops at the first corrupt or truncated
+//! frame. Record tags start at `0x21`, disjoint from those of the
+//! per-transaction `Begin / Write* / Commit` log this format replaced, so
+//! such a log is never misread as a REDO log.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};

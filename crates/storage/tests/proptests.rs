@@ -1,6 +1,5 @@
 //! Property-based tests for the storage substrate.
 
-use miniraid_storage::wal::{committed_writes, WalRecord};
 use miniraid_storage::{DurableStore, ItemValue, MemStore};
 use proptest::prelude::*;
 
@@ -8,68 +7,7 @@ fn arb_value() -> impl Strategy<Value = ItemValue> {
     (any::<u64>(), 1u64..1_000_000).prop_map(|(d, v)| ItemValue::new(d, v))
 }
 
-fn arb_record() -> impl Strategy<Value = WalRecord> {
-    prop_oneof![
-        (1u64..100).prop_map(|txn| WalRecord::Begin { txn }),
-        (1u64..100, 0u32..64, arb_value()).prop_map(|(txn, item, value)| WalRecord::Write {
-            txn,
-            item,
-            value
-        }),
-        (1u64..100).prop_map(|txn| WalRecord::Commit { txn }),
-        (1u64..100).prop_map(|txn| WalRecord::Abort { txn }),
-        (1u64..100).prop_map(|txn| WalRecord::Checkpoint { txn }),
-    ]
-}
-
 proptest! {
-    /// Every WAL record survives an encode/decode roundtrip.
-    #[test]
-    fn wal_record_roundtrip(rec in arb_record()) {
-        let enc = rec.encode();
-        prop_assert_eq!(WalRecord::decode(&enc, 0).unwrap(), rec);
-    }
-
-    /// Decoding arbitrary bytes never panics.
-    #[test]
-    fn wal_decode_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = WalRecord::decode(&raw, 0);
-    }
-
-    /// committed_writes only emits writes from committed transactions, in order.
-    #[test]
-    fn committed_writes_is_sound(records in proptest::collection::vec(arb_record(), 0..80)) {
-        use std::collections::HashSet;
-        let writes = committed_writes(&records);
-        // Build the set of committed txns visible after the last checkpoint.
-        let start = records.iter()
-            .rposition(|r| matches!(r, WalRecord::Checkpoint { .. }))
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let mut aborted_before_commit: HashSet<u64> = HashSet::new();
-        let mut committed: HashSet<u64> = HashSet::new();
-        for rec in &records[start..] {
-            match rec {
-                WalRecord::Commit { txn } if !aborted_before_commit.contains(txn) => {
-                    committed.insert(*txn);
-                }
-                WalRecord::Abort { txn } if !committed.contains(txn) => {
-                    aborted_before_commit.insert(*txn);
-                }
-                _ => {}
-            }
-        }
-        // Each emitted write must correspond to some committed txn's version.
-        for (_, v) in &writes {
-            // versions in arb_record are arbitrary; just check non-emptiness rules:
-            let _ = v;
-        }
-        // If nothing committed after the checkpoint, nothing is emitted.
-        if committed.is_empty() {
-            prop_assert!(writes.is_empty());
-        }
-    }
-
     /// MemStore digest is a function of contents only.
     #[test]
     fn digest_function_of_contents(
@@ -130,70 +68,6 @@ proptest! {
         let mut s = DurableStore::open(&dir, 16).unwrap();
         s.hydrate_all().unwrap(); // instant restart: replay before digesting
         prop_assert_eq!(s.mem().digest(), expect.digest());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-proptest! {
-    /// Crash-at-any-byte: truncating the WAL at every possible point
-    /// still recovers a clean prefix of the committed transactions —
-    /// never a torn or partial one.
-    #[test]
-    fn wal_truncation_sweep_recovers_committed_prefix(
-        txns in proptest::collection::vec(
-            proptest::collection::vec((0u32..8, any::<u64>()), 1..3),
-            1..6
-        )
-    ) {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!(
-            "miniraid-prop-truncate-{}-{:x}",
-            std::process::id(),
-            rand::random::<u64>()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let wal_path = dir.join("site.wal");
-
-        // Build a WAL of committed transactions and remember the state
-        // after each commit.
-        let mut wal = miniraid_storage::Wal::open(&wal_path).unwrap();
-        let mut state_after: Vec<MemStore> = vec![MemStore::new(8)];
-        for (i, writes) in txns.iter().enumerate() {
-            let txn = (i + 1) as u64;
-            wal.append(&WalRecord::Begin { txn }).unwrap();
-            let mut next = state_after.last().unwrap().clone();
-            for (item, data) in writes {
-                let value = ItemValue::new(*data, txn);
-                wal.append(&WalRecord::Write { txn, item: *item, value }).unwrap();
-                next.put(*item, value).unwrap();
-            }
-            wal.append(&WalRecord::Commit { txn }).unwrap();
-            state_after.push(next);
-        }
-        wal.sync().unwrap();
-        drop(wal);
-
-        let full = std::fs::read(&wal_path).unwrap();
-        // Sweep every truncation point (step 7 keeps the sweep cheap but
-        // still lands mid-header, mid-payload, and on boundaries).
-        for cut in (0..=full.len()).step_by(7) {
-            std::fs::write(&wal_path, &full[..cut]).unwrap();
-            let records = miniraid_storage::Wal::read_all(&wal_path).unwrap();
-            let recovered = {
-                let mut mem = MemStore::new(8);
-                for (item, value) in committed_writes(&records) {
-                    mem.put(item, value).unwrap();
-                }
-                mem
-            };
-            // The recovered state must equal the state after SOME
-            // committed prefix.
-            let matches_prefix = state_after
-                .iter()
-                .any(|s| s.digest() == recovered.digest());
-            prop_assert!(matches_prefix, "cut at {cut} recovered a non-prefix state");
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

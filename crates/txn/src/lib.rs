@@ -13,24 +13,20 @@
 //!   paper names as future work.
 //! * [`wisconsin`] — a Wisconsin-benchmark-style generator (Bitton,
 //!   DeWitt, Turbyfill 1983), the paper's other named future benchmark.
-//! * [`locks`] and [`deadlock`] — a strict two-phase-locking manager with
-//!   wait-for-graph deadlock detection (implemented in `miniraid-core`,
-//!   where the pipelined site engine uses it; re-exported here).
 //! * [`scheduler`] — serial execution (the paper's assumption 2) and a
 //!   2PL-interleaved scheduler for single-site validation of the lock
-//!   manager.
+//!   manager, the strict two-phase-locking manager with wait-for-graph
+//!   deadlock detection in `miniraid_core::locks` (where the pipelined
+//!   site engine uses it).
 
 #![warn(missing_docs)]
 
-pub mod deadlock;
 pub mod et1;
 pub mod history;
-pub mod locks;
 pub mod scheduler;
 pub mod wisconsin;
 pub mod workload;
 
 pub use et1::Et1Gen;
-pub use locks::{LockManager, LockMode};
 pub use wisconsin::WisconsinGen;
 pub use workload::{UniformGen, WorkloadGen, ZipfGen};

@@ -12,7 +12,7 @@ use miniraid_core::ids::TxnId;
 use miniraid_core::ops::{Operation, Transaction};
 
 use crate::history::HistoryOp;
-use crate::locks::{LockManager, LockMode, LockResult};
+use miniraid_core::locks::{LockManager, LockMode, LockResult};
 
 /// Result of executing a batch of transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
