@@ -22,6 +22,7 @@
 //!   (sequence numbers + retransmission + dedup) over the transport, so
 //!   the site tolerates the injected — or real — frame loss.
 
+use miniraid_cluster::cluster::restore;
 use miniraid_cluster::obs::SiteObs;
 use miniraid_cluster::site::{run_site, ClusterTiming, SiteParts};
 use miniraid_core::config::{ProtocolConfig, TwoStepRecovery};
@@ -72,27 +73,8 @@ fn main() {
     });
     let mut engine = SiteEngine::new(SiteId(site_id), config);
     if let Some(store) = &store {
+        restore(&mut engine, store);
         if store.last_txn() > 0 {
-            // Instant restart: checkpoint values load eagerly (already
-            // in memory), WAL records replay lazily in the site loop's
-            // background — the process is operational immediately.
-            engine.preload_db(
-                store
-                    .mem()
-                    .iter()
-                    .filter(|(_, v)| v.version > 0)
-                    .map(|(item, v)| (miniraid_core::ids::ItemId(item), v)),
-            );
-            engine.preload_lazy(store.image());
-            engine.preload_faillocks(
-                store
-                    .faillocks()
-                    .iter()
-                    .map(|(item, word)| (miniraid_core::ids::ItemId(*item), *word)),
-            );
-            if store.session() > 0 {
-                engine.preload_session(miniraid_core::ids::SessionNumber(store.session()));
-            }
             // A restarted process rejoins via Recover.
             engine.assume_failed();
         }

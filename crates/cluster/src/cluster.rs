@@ -481,12 +481,16 @@ fn rejoining(seats: &[Seat], last: &[u64]) -> Vec<bool> {
         .collect()
 }
 
-/// Load a store's durable state into a fresh engine. Instant restart:
-/// the checkpoint image (already in memory) loads eagerly, but WAL
-/// records hand the engine a lazy restart image — items hydrate on first
-/// touch or via the site loop's background replay, so the site is
-/// operational before the log is re-applied.
-fn restore(engine: &mut SiteEngine, store: &DurableStore) {
+/// Load a store's durable state into a fresh engine — the one restore
+/// path of every launcher (`ClusterBuilder::durable` and the
+/// `miniraid-site` process). Fail-lock words and the session always
+/// load, whether or not anything committed. Instant restart: the
+/// snapshot image (already in memory) loads eagerly, but WAL records
+/// hand the engine a lazy restart image — items hydrate on first touch
+/// or via the site loop's background replay, so the site is operational
+/// before the log is re-applied. Whether the site then comes up down is
+/// the launcher's call ([`SiteEngine::assume_failed`]).
+pub fn restore(engine: &mut SiteEngine, store: &DurableStore) {
     if store.last_txn() > 0 {
         engine.preload_db(
             store

@@ -294,6 +294,13 @@ fn serve_metrics<T: Transport>(
         Some(obs) => obs.render(engine),
         None => render_plain(engine),
     };
+    if let Some(d) = durable {
+        text.push_str(&miniraid_obs::expo::render_wal(
+            engine.id(),
+            d.store.counters().checkpoints(),
+            d.store.log_bytes(),
+        ));
+    }
     // Only the TCP mailbox wakes on sockets, and a scrape that arrived
     // over one has woken it at least once.
     if stats.tcp_wakeups > 0 {
@@ -648,9 +655,17 @@ fn perform<T: Transport>(
         (None, Some(d)) => sync_durable(engine, d),
         (None, None) => Ok(()),
     };
-    match synced {
-        Ok(()) => flush_outbound(engine, transport, outbound, pool),
-        Err(err) => fail_durable(engine, durable, timers, manager, outbound, pool, err),
+    if let Err(err) = synced {
+        return fail_durable(engine, durable, timers, manager, outbound, pool, err);
+    }
+    flush_outbound(engine, transport, outbound, pool);
+    // With the frames gone, one call keeps the log bounded: it rotates
+    // the log when it has outgrown its snapshot (the snapshot itself is
+    // written off this thread) and reports a failed snapshot write.
+    if let Some(d) = durable.as_mut() {
+        if let Err(err) = d.store.checkpoint_if_due() {
+            fail_durable(engine, durable, timers, manager, outbound, pool, err);
+        }
     }
 }
 
@@ -962,6 +977,36 @@ mod tests {
         drop(sent);
         drop(d.durable.take());
         assert_eq!(DurableStore::open(&d.dir, 16).unwrap().session(), 3);
+    }
+
+    #[test]
+    fn a_checkpoint_starts_after_the_frames_and_a_failed_snapshot_steps_the_site_down() {
+        let mut d = Drains::new("snapshot-fails");
+        // A directory where the snapshot goes: its rename must fail.
+        std::fs::create_dir_all(d.dir.join("site.snap").join("in-the-way")).unwrap();
+        let all_items = || Output::Persist {
+            txn: TxnId(1),
+            writes: (0..16).map(|i| (ItemId(i), ItemValue::new(1, 1))).collect(),
+            faillocks: Vec::new(),
+        };
+        // Three such records outgrow four 16-item snapshots (4 x 276 B).
+        d.drain(vec![all_items(), all_items(), all_items(), send(1, 1)]);
+        let first = d.sent().first().map(|f| (f.records, f.fsyncs));
+        assert_eq!(
+            first,
+            Some((3, 1)),
+            "the frame left before the rotation logged anything"
+        );
+        assert!(d.dir.join("site.redo.prev").exists(), "the log rotated");
+        // The next drain after the snapshot writer gave up collects its
+        // error and steps the site down.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while d.durable.is_some() {
+            assert!(Instant::now() < deadline, "the failure never surfaced");
+            std::thread::sleep(Duration::from_millis(5));
+            d.drain(Vec::new());
+        }
+        assert_eq!(d.engine.status(), SiteStatus::Down);
     }
 
     #[test]

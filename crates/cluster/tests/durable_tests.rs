@@ -1,12 +1,17 @@
 //! Durable cluster tests: committed state survives full-process
 //! restarts; restarted sites rejoin through the recovery protocol.
 
+use std::path::Path;
 use std::time::Duration;
 
-use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched};
+use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched, ManagingClient};
 use miniraid_core::config::{ProtocolConfig, TwoStepRecovery};
 use miniraid_core::ids::{ItemId, SiteId};
 use miniraid_core::ops::{Operation, Transaction};
+use miniraid_net::{Mailbox, Transport};
+use miniraid_obs::watch::parse_site_sample;
+use miniraid_storage::snapshot::Snapshot;
+use miniraid_storage::{DurableStore, LOG_PER_SNAPSHOT};
 
 const WAIT: Duration = Duration::from_secs(5);
 
@@ -281,4 +286,179 @@ fn restart_after_missing_commits_refreshes_via_recovery() {
         cluster.join(WAIT);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_log_stays_a_few_snapshots_long_and_a_relaunch_reads_everything() {
+    const ITEMS: u32 = 200;
+    const WRITES: u32 = 10;
+    let dir = tmpdir("bounded-log");
+    let config = ProtocolConfig {
+        db_size: ITEMS,
+        ..config()
+    };
+    let mut want = vec![0u64; ITEMS as usize];
+
+    // Incarnation 1: commit until every site has checkpointed five times.
+    {
+        let Launched {
+            cluster,
+            mut client,
+            wal,
+            ..
+        } = durable(config.clone(), &dir).launch().unwrap();
+        let mut k = 0u32;
+        while wal.iter().any(|c| c.checkpoints() < 5) {
+            assert!(k < 2_000, "checkpoints after {k} txns: {:?}", {
+                wal.iter().map(|c| c.checkpoints()).collect::<Vec<_>>()
+            });
+            let id = client.next_txn_id();
+            let first = k * WRITES % ITEMS;
+            let writes = (first..first + WRITES)
+                .map(|item| Operation::Write(ItemId(item), id.0 * 1000 + item as u64))
+                .collect();
+            let report = client
+                .run_txn(SiteId((k % 3) as u8), Transaction::new(id, writes), WAIT)
+                .unwrap();
+            assert!(report.outcome.is_committed(), "txn {k}");
+            for item in first..first + WRITES {
+                want[item as usize] = id.0 * 1000 + item as u64;
+            }
+            k += 1;
+        }
+        client.terminate_all();
+        cluster.join(WAIT);
+    }
+
+    // A serial client's drain appends at most one commit record.
+    let one_drain = 8 + 17 + 28 * WRITES as u64;
+    let bound = LOG_PER_SNAPSHOT * Snapshot::encoded_len(ITEMS) + one_drain;
+    for s in 0..3 {
+        let site = dir.join(format!("site-{s}"));
+        let log = std::fs::metadata(site.join("site.redo")).unwrap().len();
+        assert!(log <= bound, "site {s}: {log} log bytes > {bound}");
+        assert!(
+            !site.join("site.redo.prev").exists(),
+            "site {s}: .prev left"
+        );
+    }
+
+    // Incarnation 2: the bootstrap site reads every committed value.
+    {
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config, &dir).launch().unwrap();
+        let reads = |first: u32| {
+            (first..first + 20)
+                .map(|i| Operation::Read(ItemId(i)))
+                .collect()
+        };
+        let bootstrap = (0..3u8)
+            .find(|s| {
+                let id = client.next_txn_id();
+                client
+                    .run_txn(SiteId(*s), Transaction::new(id, reads(0)), WAIT)
+                    .is_ok_and(|r| r.outcome.is_committed())
+            })
+            .expect("one site bootstraps operational");
+        for first in (0..ITEMS).step_by(20) {
+            let id = client.next_txn_id();
+            let report = client
+                .run_txn(SiteId(bootstrap), Transaction::new(id, reads(first)), WAIT)
+                .unwrap();
+            assert!(report.outcome.is_committed());
+            for (item, value) in report.read_results {
+                assert_eq!(value.data, want[item.0 as usize], "item {}", item.0);
+            }
+        }
+        client.terminate_all();
+        cluster.join(WAIT);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- one restore path ------------------------------------------------------
+
+/// Give `sites` stores under `dir` a session and fail-lock words but no
+/// commit: site `i`'s copies of items 1 and 2 are stale.
+fn log_protocol_state_only(dir: &Path, sites: u8) {
+    for i in 0..sites {
+        let mut store = DurableStore::open(&dir.join(format!("site-{i}")), 12).unwrap();
+        store.log_session(5).unwrap();
+        store
+            .log_faillocks(&[(1, 1 << i), (2, 1 << i), (3, 0)])
+            .unwrap();
+    }
+}
+
+/// Scrape `site` and check it restored the session and both words.
+fn assert_restored<T: Transport, M: Mailbox>(client: &mut ManagingClient<T, M>, site: u8) {
+    let text = client.fetch_metrics(SiteId(site), WAIT).unwrap();
+    let sample = parse_site_sample(site, &text);
+    assert_eq!(
+        (sample.session, sample.stale),
+        (5, 2),
+        "site {site}: session and own fail-locked copies"
+    );
+}
+
+#[test]
+fn the_builder_restores_a_session_and_faillocks_without_a_commit() {
+    let dir = tmpdir("restore-builder");
+    log_protocol_state_only(&dir, 3);
+    let Launched {
+        cluster,
+        mut client,
+        ..
+    } = durable(config(), &dir).launch().unwrap();
+    for s in 0..3 {
+        assert_restored(&mut client, s);
+    }
+    client.terminate_all();
+    cluster.join(WAIT);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_site_process_restores_a_session_and_faillocks_without_a_commit() {
+    use miniraid_net::tcp::{AddressPlan, TcpEndpoint};
+
+    let dir = tmpdir("restore-process");
+    log_protocol_state_only(&dir, 1);
+    let base_port = 36000 + (std::process::id() % 500) as u16 * 4;
+    let mut site = Reap(
+        std::process::Command::new(env!("CARGO_BIN_EXE_miniraid-site"))
+            .args(["0", "1", &base_port.to_string(), "12"])
+            .arg(&dir)
+            .spawn()
+            .expect("spawn site process"),
+    );
+    let (transport, mailbox) =
+        TcpEndpoint::bind(SiteId(1), AddressPlan { base_port }).expect("bind manager");
+    let mut client = ManagingClient::new(transport, mailbox, 1);
+    // The process binds its port after opening the store; retry until
+    // it answers.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client
+        .fetch_metrics(SiteId(0), Duration::from_millis(200))
+        .is_err()
+    {
+        assert!(std::time::Instant::now() < deadline, "site never answered");
+    }
+    assert_restored(&mut client, 0);
+    client.terminate_all();
+    let _ = site.0.wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reaps a site process however the test ends.
+struct Reap(std::process::Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }

@@ -17,15 +17,40 @@
 //! integrity and per-item chain heads but does not apply values. Reads
 //! hydrate on demand from the [`LazyImage`]; [`DurableStore::hydrate_step`]
 //! replays the rest in the background.
-
-use std::path::{Path, PathBuf};
+//!
+//! The log **stops growing**: once `site.redo` holds more than
+//! [`LOG_PER_SNAPSHOT`] snapshots' worth of bytes,
+//! [`DurableStore::checkpoint_if_due`] rotates it — sync, rename it to
+//! `site.redo.prev`, start a fresh `site.redo` that opens with a
+//! checkpoint marker and restates the session and fail-lock words — and a
+//! helper thread writes `site.snap` from a copy of the table, then
+//! deletes `site.redo.prev`. A restart reads one snapshot and a log of at
+//! most that many snapshots plus one drain, however long the site ran.
 
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::thread::JoinHandle;
 
 use crate::mem::MemStore;
-use crate::redo::{GroupCommitWal, LazyImage, WalCounters};
-use crate::snapshot::Snapshot;
-use crate::{ItemValue, Result};
+use crate::redo::{self, GroupCommitWal, LazyImage, WalCounters};
+use crate::snapshot::{sync_dir, Snapshot};
+use crate::{ItemValue, Result, StorageError};
+
+/// The live log.
+const LOG: &str = "site.redo";
+/// The log a running checkpoint's snapshot covers; deleted once that
+/// snapshot is durable.
+const PREV: &str = "site.redo.prev";
+/// The newest durable snapshot.
+const SNAP: &str = "site.snap";
+
+/// A checkpoint starts once the live log holds more than this many
+/// snapshots' worth of bytes. At four, checkpoint writes stay at most a
+/// quarter of log writes, a restart reads at most five snapshots' worth,
+/// and set-up — every item written once, about 1.75 snapshots of log —
+/// finishes without one.
+pub const LOG_PER_SNAPSHOT: u64 = 4;
 
 /// A crash-recoverable store: `MemStore` + group-commit REDO WAL +
 /// snapshot checkpointing.
@@ -35,40 +60,82 @@ pub struct DurableStore {
     /// Logged values not yet applied to `mem` (instant restart).
     image: LazyImage,
     wal: GroupCommitWal,
-    wal_path: PathBuf,
-    snap_path: PathBuf,
+    dir: PathBuf,
     last_txn: u64,
     /// Recovered fail-lock bitmap words (item -> word), last-write-wins.
     faillocks: HashMap<u32, u64>,
     /// Recovered own session number (0 = never logged).
     session: u64,
+    /// The running checkpoint's snapshot writer.
+    snapshotter: Option<JoinHandle<Result<()>>>,
 }
 
 impl DurableStore {
-    /// Open a durable store in `dir`. Returns immediately after scanning
-    /// the log (frame validation + chain heads) — committed values are
-    /// *reachable* but not yet applied; they hydrate on first read or via
-    /// [`DurableStore::hydrate_step`].
+    /// Open a durable store in `dir`. Returns immediately after reading
+    /// the snapshot and scanning the log (frame validation + chain heads)
+    /// — logged values are *reachable* but not yet applied; they hydrate
+    /// on first read or via [`DurableStore::hydrate_step`]. A checkpoint
+    /// a crash interrupted is completed first.
     pub fn open(dir: &Path, size: u32) -> Result<DurableStore> {
         std::fs::create_dir_all(dir)?;
-        let wal_path = dir.join("site.redo");
-        let snap_path = dir.join("site.snap");
-
-        let (mem, snap_txn) = match Snapshot::read_from(&snap_path)? {
+        let (mem, snap_txn) = match Snapshot::read_from(&dir.join(SNAP))? {
             Some(snap) => (snap.store, snap.last_txn),
             None => (MemStore::new(size), 0),
         };
-        let (wal, state) = GroupCommitWal::open(&wal_path, size)?;
-        Ok(DurableStore {
+        let (wal, state) = GroupCommitWal::open(&dir.join(LOG), size)?;
+        let mut store = DurableStore {
             mem,
             image: LazyImage::from_log(state.raw, state.heads),
             wal,
-            wal_path,
-            snap_path,
+            dir: dir.to_path_buf(),
             last_txn: snap_txn.max(state.last_txn),
             faillocks: state.faillocks,
             session: state.session,
-        })
+            snapshotter: None,
+        };
+        match std::fs::read(dir.join(PREV)) {
+            Ok(prev) => store.finish_checkpoint(prev, snap_txn)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(store)
+    }
+
+    /// `site.redo.prev` survived a crash: its checkpoint's snapshot may or
+    /// may not have been written, and the live log may lack the protocol
+    /// state the rotation restated. Replaying `.prev` over the snapshot
+    /// is right either way — REDO records carry absolute values, so a log
+    /// the snapshot already covers changes nothing. Then restate the
+    /// protocol state at the end of the live log, write the snapshot and
+    /// delete `.prev`: the interrupted checkpoint, completed before the
+    /// store serves.
+    fn finish_checkpoint(&mut self, prev: Vec<u8>, snap_txn: u64) -> Result<()> {
+        let prev = redo::scan(prev, self.mem.size())?;
+        let mut image = LazyImage::from_log(prev.raw, prev.heads);
+        while let Some((item, value)) = image.take_next() {
+            self.mem.put(item, value)?;
+        }
+        // The live log is the newer one: its words and session win.
+        let mut faillocks = prev.faillocks;
+        faillocks.extend(self.faillocks.drain());
+        self.faillocks = faillocks;
+        if self.session == 0 {
+            self.session = prev.session;
+        }
+        self.last_txn = self.last_txn.max(prev.last_txn);
+        self.restate_protocol_state()?;
+        self.wal.sync()?;
+        let snapshot = Snapshot {
+            store: self.mem.clone(),
+            last_txn: snap_txn.max(prev.last_txn),
+        };
+        let size = self.mem.size();
+        write_snapshot(
+            snapshot,
+            LazyImage::empty(size),
+            &self.dir,
+            &self.wal.counters(),
+        )
     }
 
     /// Recovered fail-lock words (item -> bitmap word).
@@ -204,43 +271,124 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Take a snapshot and start a fresh log with a checkpoint marker.
-    /// Hydrates any not-yet-replayed items first so the snapshot is the
-    /// full committed image.
+    /// Bytes in the live log (`site.redo`), synced or not.
+    pub fn log_bytes(&self) -> u64 {
+        self.wal.len()
+    }
+
+    /// Start a checkpoint if one is due: the live log holds more than
+    /// [`LOG_PER_SNAPSHOT`] snapshots' worth of bytes and no checkpoint
+    /// is running. The site loop calls this once per drain, after the
+    /// drain's sync and sends. A finished checkpoint is collected first;
+    /// if its snapshot writer failed, that error is returned.
+    pub fn checkpoint_if_due(&mut self) -> Result<()> {
+        if self
+            .snapshotter
+            .as_ref()
+            .is_some_and(JoinHandle::is_finished)
+        {
+            self.wait_checkpoint()?;
+        }
+        let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(self.mem.size());
+        if self.snapshotter.is_none() && self.wal.len() > due {
+            self.start_checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Wait for the running checkpoint, if any, and return its outcome.
+    pub fn wait_checkpoint(&mut self) -> Result<()> {
+        match self.snapshotter.take() {
+            Some(thread) => thread.join().unwrap_or_else(|_| {
+                Err(StorageError::Io(std::io::Error::other(
+                    "snapshot writer panicked",
+                )))
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Checkpoint now, whatever the log's length, and wait for it: the
+    /// rotation and snapshot [`DurableStore::checkpoint_if_due`] starts.
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.hydrate_all()?;
+        self.wait_checkpoint()?;
+        self.start_checkpoint()?;
+        self.wait_checkpoint()
+    }
+
+    /// A checkpoint's first half, on the caller's thread and cheap: sync
+    /// the log and rename it to `.prev`; start a fresh log that opens
+    /// with the checkpoint marker and restates the protocol state; make
+    /// the new file and the directory durable; hand a copy of the table
+    /// to the snapshot writer.
+    fn start_checkpoint(&mut self) -> Result<()> {
         self.wal.sync()?;
-        let snap = Snapshot {
+        std::fs::rename(self.dir.join(LOG), self.dir.join(PREV))?;
+        self.wal.start_fresh(&self.dir.join(LOG))?;
+        self.wal.append_checkpoint(self.last_txn)?;
+        self.restate_protocol_state()?;
+        self.wal.sync()?;
+        sync_dir(&self.dir)?;
+        let snapshot = Snapshot {
             store: self.mem.clone(),
             last_txn: self.last_txn,
         };
-        snap.write_to(&self.snap_path)?;
-        // Start a fresh log containing the checkpoint marker plus the
-        // protocol state (fail-locks, session) the snapshot doesn't hold.
-        std::fs::remove_file(&self.wal_path)?;
-        let counters = self.wal.counters();
-        let (wal, _) =
-            GroupCommitWal::open_with_counters(&self.wal_path, self.mem.size(), counters)?;
-        self.wal = wal;
-        self.wal.append_checkpoint(self.last_txn)?;
+        let pending = self.image.clone();
+        let (dir, counters) = (self.dir.clone(), self.wal.counters());
+        let writer = std::thread::Builder::new()
+            .name("miniraid-snapshot".into())
+            .spawn(move || write_snapshot(snapshot, pending, &dir, &counters))?;
+        self.snapshotter = Some(writer);
+        Ok(())
+    }
+
+    /// Append the protocol state no snapshot holds — the session and
+    /// every non-zero fail-lock word — so the live log alone carries it
+    /// once the logs before it are gone. Buffered.
+    fn restate_protocol_state(&mut self) -> Result<()> {
         if self.session > 0 {
             self.wal.append_session(self.session)?;
         }
-        let mut words: Vec<(u32, u64)> = self.faillocks.iter().map(|(i, w)| (*i, *w)).collect();
-        words.sort_unstable();
-        self.wal.append_faillocks(&words)?;
-        self.wal.sync()?;
+        self.faillocks.retain(|_, word| *word != 0);
+        if !self.faillocks.is_empty() {
+            let mut words: Vec<(u32, u64)> = self.faillocks.iter().map(|(i, w)| (*i, *w)).collect();
+            words.sort_unstable();
+            self.wal.append_faillocks(&words)?;
+        }
         Ok(())
     }
 }
 
+/// A checkpoint's second half, on the snapshot writer (or, completing an
+/// interrupted one, in [`DurableStore::open`]): fold in what the restart
+/// image had not yet applied, write the snapshot durably, and only then
+/// delete the log it covers.
+fn write_snapshot(
+    mut snapshot: Snapshot,
+    mut pending: LazyImage,
+    dir: &Path,
+    counters: &WalCounters,
+) -> Result<()> {
+    while let Some((item, value)) = pending.take_next() {
+        snapshot.store.put(item, value)?;
+    }
+    let bytes = snapshot.write_to(&dir.join(SNAP))?;
+    std::fs::remove_file(dir.join(PREV))?;
+    counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+    counters.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
+    Ok(())
+}
+
 impl Drop for DurableStore {
     /// Clean shutdown is durable: flush + fsync whatever the last group
-    /// didn't cover. (A crash instead loses only records whose effects
-    /// were never announced — the site loop holds outbound messages
-    /// until their group's fsync completes.)
+    /// didn't cover, and let a running checkpoint finish, so nothing of
+    /// this store still touches the directory when the next one opens
+    /// it. (A crash instead loses only records whose effects were never
+    /// announced — the site loop holds outbound messages until their
+    /// group's fsync completes.)
     fn drop(&mut self) {
         let _ = self.wal.sync();
+        let _ = self.wait_checkpoint();
     }
 }
 
@@ -333,6 +481,65 @@ mod tests {
         assert_eq!(s.session(), 4);
         assert_eq!(s.faillocks().get(&0), Some(&0));
         assert_eq!(s.faillocks().get(&3), Some(&0b0010));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_outgrown_log_rotates_and_the_snapshot_replaces_it() {
+        let dir = tmpdir("rotate");
+        let size = 8u32;
+        let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(size);
+        let mut s = DurableStore::open(&dir, size).unwrap();
+        s.log_session(3).unwrap();
+        s.log_faillocks(&[(5, 0b10), (6, 0b100)]).unwrap();
+        s.log_faillocks(&[(6, 0)]).unwrap();
+        let mut txn = 0u64;
+        loop {
+            txn += 1;
+            s.commit(txn, &[((txn % 8) as u32, ItemValue::new(txn, txn))])
+                .unwrap();
+            s.sync().unwrap();
+            let (bytes, outgrown) = (s.log_bytes(), s.log_bytes() > due);
+            s.checkpoint_if_due().unwrap();
+            if outgrown {
+                break;
+            }
+            assert_eq!(s.log_bytes(), bytes, "no rotation before it is due");
+        }
+        s.wait_checkpoint().unwrap();
+        let counters = s.counters();
+        assert_eq!(counters.checkpoints(), 1);
+        assert_eq!(counters.snapshot_bytes(), Snapshot::encoded_len(size));
+        assert!(!dir.join(PREV).exists());
+        // The fresh log holds the marker and the restated state alone:
+        // the session and the one non-zero word.
+        let header = 8 + 9 + (8 + 9) + (8 + 5 + 12);
+        assert_eq!(s.log_bytes(), header);
+        drop(s);
+
+        let mut s = DurableStore::open(&dir, size).unwrap();
+        assert_eq!((s.last_txn(), s.session(), s.pending_items()), (txn, 3, 0));
+        let words: Vec<_> = s.faillocks().iter().filter(|(_, w)| **w != 0).collect();
+        assert_eq!(words, [(&5, &0b10)]);
+        for item in 0..8u32 {
+            let last = (1..=txn).rev().find(|t| t % 8 == item as u64);
+            let want = last.map_or(ItemValue::INITIAL, |t| ItemValue::new(t, t));
+            assert_eq!(s.get(item).unwrap(), want, "item {item}");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_snapshot_write_is_returned_not_counted() {
+        let dir = tmpdir("snapshot-fails");
+        let mut s = DurableStore::open(&dir, 4).unwrap();
+        // A directory where the snapshot goes: its rename must fail.
+        std::fs::create_dir_all(dir.join(SNAP).join("in-the-way")).unwrap();
+        s.commit(1, &[(0, ItemValue::new(1, 1))]).unwrap();
+        assert!(s.checkpoint().is_err());
+        assert_eq!(s.counters().checkpoints(), 0);
+        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,8 @@
 //! ([`MemStore`]) and, because a downstream system needs durability, a
 //! production path as well: a checksummed REDO log with group commit and
 //! instant restart ([`redo`]), snapshots ([`snapshot`]), and a combined
-//! [`DurableStore`] that recovers the committed prefix after a crash.
+//! [`DurableStore`] that recovers the committed prefix after a crash and
+//! checkpoints itself so its log stays a few snapshots long.
 //!
 //! Keys are dense `u32` item identifiers (the paper's database is a fixed
 //! universe of "frequently referenced data items"); values carry a version
@@ -18,7 +19,7 @@ pub mod mem;
 pub mod redo;
 pub mod snapshot;
 
-pub use durable::DurableStore;
+pub use durable::{DurableStore, LOG_PER_SNAPSHOT};
 pub use mem::MemStore;
 pub use redo::{GroupCommitWal, LazyImage, WalCounters};
 

@@ -100,6 +100,11 @@ pub struct WalCounters {
     pub records: AtomicU64,
     /// Framed bytes appended.
     pub bytes: AtomicU64,
+    /// Checkpoints completed: snapshots written and the log they cover
+    /// deleted.
+    pub checkpoints: AtomicU64,
+    /// Snapshot bytes written by those checkpoints.
+    pub snapshot_bytes: AtomicU64,
 }
 
 impl WalCounters {
@@ -121,6 +126,16 @@ impl WalCounters {
     /// Framed bytes appended so far.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Checkpoints completed so far.
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot bytes written so far.
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -464,16 +479,6 @@ impl GroupCommitWal {
     /// prefix, truncate any torn tail so new appends extend the valid
     /// log, and return the writer plus the scan for lazy replay.
     pub fn open(path: &Path, db_size: u32) -> Result<(GroupCommitWal, ScanState)> {
-        Self::open_with_counters(path, db_size, Arc::new(WalCounters::default()))
-    }
-
-    /// [`GroupCommitWal::open`] preserving an existing counter handle
-    /// (checkpointing replaces the log file but not the counters).
-    pub fn open_with_counters(
-        path: &Path,
-        db_size: u32,
-        counters: Arc<WalCounters>,
-    ) -> Result<(GroupCommitWal, ScanState)> {
         let raw = match std::fs::read(path) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -498,9 +503,28 @@ impl GroupCommitWal {
             heads: state.heads.clone(),
             scratch: Vec::with_capacity(256),
             unsynced: false,
-            counters,
+            counters: Arc::new(WalCounters::default()),
         };
         Ok((wal, state))
+    }
+
+    /// Continue in a new, empty log at `path`, after the caller has
+    /// synced this one and moved it away (a checkpoint's rotation). The
+    /// counters carry over; the chain heads start again, since offsets
+    /// address the new file. The new file is durable only once something
+    /// appended to it is synced and its directory entry is too.
+    pub fn start_fresh(&mut self, path: &Path) -> Result<()> {
+        self.writer.flush()?;
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(path)?;
+        self.writer = BufWriter::new(file);
+        self.len = 0;
+        self.heads.fill(NO_PREV);
+        self.unsynced = false;
+        Ok(())
     }
 
     /// Shared counter handle.

@@ -26,9 +26,14 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Bytes a snapshot of an `items`-item table takes on disk.
+    pub const fn encoded_len(items: u32) -> u64 {
+        20 + 16 * items as u64
+    }
+
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(20 + 16 * self.store.size() as usize);
+        let mut buf = BytesMut::with_capacity(Snapshot::encoded_len(self.store.size()) as usize);
         buf.put_u32_le(MAGIC);
         buf.put_u32_le(self.store.size());
         buf.put_u64_le(self.last_txn);
@@ -70,14 +75,19 @@ impl Snapshot {
         Ok(Snapshot { store, last_txn })
     }
 
-    /// Write atomically: to a temp file, fsync, then rename over `path`.
-    pub fn write_to(&self, path: &Path) -> Result<()> {
+    /// Write atomically and durably: to a temp file, fsync, rename over
+    /// `path`, fsync the directory. Returns the bytes written.
+    pub fn write_to(&self, path: &Path) -> Result<u64> {
         let tmp = path.with_extension("tmp");
         let mut f = File::create(&tmp)?;
-        f.write_all(&self.encode())?;
+        let bytes = self.encode();
+        f.write_all(&bytes)?;
         f.sync_data()?;
         std::fs::rename(&tmp, path)?;
-        Ok(())
+        // A bare file name's parent is "", which names no directory.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        sync_dir(dir.unwrap_or(Path::new(".")))?;
+        Ok(bytes.len() as u64)
     }
 
     /// Load from `path`; `Ok(None)` if no snapshot exists yet.
@@ -91,6 +101,13 @@ impl Snapshot {
         f.read_to_end(&mut raw)?;
         Snapshot::decode(&raw).map(Some)
     }
+}
+
+/// Make a directory's entries durable: the renames, creations and
+/// unlinks done in it so far survive a crash.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]

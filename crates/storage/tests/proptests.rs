@@ -1,6 +1,10 @@
 //! Property-based tests for the storage substrate.
 
-use miniraid_storage::{DurableStore, ItemValue, MemStore};
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use miniraid_storage::snapshot::Snapshot;
+use miniraid_storage::{DurableStore, ItemValue, MemStore, LOG_PER_SNAPSHOT};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = ItemValue> {
@@ -185,5 +189,247 @@ proptest! {
         lazy.hydrate_all().unwrap();
         prop_assert_eq!(lazy.mem().digest(), reference.mem().digest());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+// ---- crashes across checkpoints ------------------------------------------
+
+const ITEMS: u32 = 8;
+
+/// One thing a durable site logs; each appends exactly one record.
+#[derive(Debug, Clone)]
+enum Op {
+    Commit(Vec<(u32, u64)>),
+    /// Standalone fail-lock words, zeros (clears) included.
+    Words(Vec<(u32, u64)>),
+    Session,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => proptest::collection::vec((0u32..ITEMS, any::<u64>()), 1..4).prop_map(Op::Commit),
+        2 => proptest::collection::vec((0u32..ITEMS, 0u64..4), 1..3).prop_map(Op::Words),
+        1 => Just(Op::Session),
+    ]
+}
+
+/// What a store must hold after a prefix of the ops.
+#[derive(Debug, Clone)]
+struct Model {
+    mem: MemStore,
+    words: BTreeMap<u32, u64>,
+    session: u64,
+    last_txn: u64,
+}
+
+impl Model {
+    fn apply(&mut self, op: &Op, store: &mut DurableStore) {
+        match op {
+            Op::Commit(writes) => {
+                self.last_txn += 1;
+                let txn = self.last_txn;
+                let ws: Vec<(u32, ItemValue)> = writes
+                    .iter()
+                    .map(|(item, data)| (*item, ItemValue::new(*data, txn)))
+                    .collect();
+                store.commit(txn, &ws).unwrap();
+                for (item, v) in ws {
+                    self.mem.put(item, v).unwrap();
+                }
+            }
+            Op::Words(words) => {
+                store.log_faillocks(words).unwrap();
+                for (item, word) in words {
+                    match word {
+                        0 => self.words.remove(item),
+                        w => self.words.insert(*item, *w),
+                    };
+                }
+            }
+            Op::Session => {
+                self.session += 1;
+                store.log_session(self.session).unwrap();
+            }
+        }
+    }
+
+    /// Reopen `dir` and compare; then reopen once more, since the first
+    /// open may have completed an interrupted checkpoint.
+    fn check(&self, dir: &Path, what: &str) {
+        for pass in ["open", "reopen"] {
+            let mut s = DurableStore::open(dir, ITEMS).unwrap();
+            s.hydrate_all().unwrap();
+            let words: BTreeMap<u32, u64> = s
+                .faillocks()
+                .iter()
+                .filter(|(_, w)| **w != 0)
+                .map(|(i, w)| (*i, *w))
+                .collect();
+            assert_eq!(s.mem(), &self.mem, "{what}: table after {pass}");
+            assert_eq!(words, self.words, "{what}: fail-lock words after {pass}");
+            assert_eq!(s.session(), self.session, "{what}: session after {pass}");
+            assert_eq!(s.last_txn(), self.last_txn, "{what}: last_txn after {pass}");
+            drop(s);
+            assert!(!dir.join("site.redo.prev").exists(), "{what}: .prev left");
+        }
+    }
+}
+
+/// Offsets where a frame of `log` ends, and 0.
+fn record_boundaries(log: &[u8]) -> Vec<usize> {
+    let mut ends = vec![0];
+    while let Some(&end) = ends.last().filter(|&&e| e + 8 <= log.len()) {
+        let len = u32::from_le_bytes(log[end..end + 4].try_into().unwrap()) as usize;
+        ends.push(end + 8 + len);
+    }
+    ends
+}
+
+/// One log's life: from a rotation (or the first open) to the next.
+struct Epoch {
+    /// The snapshot that covers this log's start (`None` before the first
+    /// checkpoint).
+    snap: Option<Vec<u8>>,
+    /// The rotation that started this log: the log it renamed to `.prev`
+    /// and the snapshot that was current until its own was written.
+    rotation: Option<(Vec<u8>, Option<Vec<u8>>)>,
+    /// The state at the start, and after each op that logged into it,
+    /// with the offset where that op's record ends.
+    start: Model,
+    ends: Vec<(usize, Model)>,
+    /// Where the rotation's own records end: the marker and the restated
+    /// protocol state.
+    header: usize,
+    /// The log as it finally was.
+    log: Vec<u8>,
+}
+
+impl Epoch {
+    /// The state a cut at `b` leaves: everything logged before `b`.
+    fn at(&self, b: usize) -> &Model {
+        self.ends
+            .iter()
+            .rev()
+            .find(|(end, _)| *end <= b)
+            .map_or(&self.start, |(_, m)| m)
+    }
+}
+
+fn write_dir(dir: &Path, files: &[(&str, Option<&[u8]>)]) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    for (name, bytes) in files {
+        if let Some(bytes) = bytes {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+}
+
+fn unique_dir(name: &str) -> std::path::PathBuf {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!(
+        "miniraid-prop-{name}-{}-{:x}",
+        std::process::id(),
+        rand::random::<u64>()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+proptest! {
+    /// A crash anywhere in a run that crosses checkpoints — at every
+    /// record boundary of every log, and after each step of each
+    /// rotation (the rename, the new log's fsync, the snapshot's rename,
+    /// the unlink of `.prev`) — reopens to exactly the committed prefix,
+    /// fail-lock words, session and `last_txn`.
+    #[test]
+    fn a_crash_at_any_step_of_a_checkpoint_recovers_the_logged_prefix(
+        ops in proptest::collection::vec(arb_op(), 40..64)
+    ) {
+        let live = unique_dir("ckpt-live");
+        let crash = unique_dir("ckpt-crash");
+        let read = |name: &str| std::fs::read(live.join(name)).ok();
+        let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(ITEMS);
+
+        let mut model = Model {
+            mem: MemStore::new(ITEMS),
+            words: BTreeMap::new(),
+            session: 0,
+            last_txn: 0,
+        };
+        let mut s = DurableStore::open(&live, ITEMS).unwrap();
+        let mut epochs = vec![Epoch {
+            snap: None,
+            rotation: None,
+            start: model.clone(),
+            ends: Vec::new(),
+            header: 0,
+            log: Vec::new(),
+        }];
+        for op in &ops {
+            model.apply(op, &mut s);
+            s.sync().unwrap();
+            let epoch = epochs.last_mut().unwrap();
+            epoch.log = read("site.redo").unwrap();
+            epoch.ends.push((epoch.log.len(), model.clone()));
+            let rotates = s.log_bytes() > due;
+            s.checkpoint_if_due().unwrap();
+            if rotates {
+                s.wait_checkpoint().unwrap();
+                let prev = std::mem::take(&mut epoch.log);
+                let covered = epoch.snap.clone();
+                let log = read("site.redo").unwrap();
+                epochs.push(Epoch {
+                    snap: read("site.snap"),
+                    rotation: Some((prev, covered)),
+                    start: model.clone(),
+                    ends: Vec::new(),
+                    header: log.len(),
+                    log,
+                });
+            }
+        }
+        drop(s);
+        prop_assert!(epochs.len() >= 3, "only {} checkpoints", epochs.len() - 1);
+        model.check(&live, "clean shutdown");
+
+        for (k, epoch) in epochs.iter().enumerate() {
+            let header = epoch.header;
+            for b in record_boundaries(&epoch.log) {
+                let cut = &epoch.log[..b];
+                let want = epoch.at(b);
+                if b >= header {
+                    // After the unlink, and in steady state.
+                    write_dir(&crash, &[("site.snap", epoch.snap.as_deref()), ("site.redo", Some(cut))]);
+                    want.check(&crash, &format!("epoch {k}, cut {b}"));
+                }
+                if let Some((prev, covered)) = &epoch.rotation {
+                    // Before the new log's fsync (a torn header), after it,
+                    // and appended to while the snapshot is written.
+                    write_dir(&crash, &[
+                        ("site.snap", covered.as_deref()),
+                        ("site.redo.prev", Some(prev)),
+                        ("site.redo", Some(cut)),
+                    ]);
+                    want.check(&crash, &format!("epoch {k}, .prev, old snapshot, cut {b}"));
+                    if b >= header {
+                        // After the snapshot's rename, before the unlink.
+                        write_dir(&crash, &[
+                            ("site.snap", epoch.snap.as_deref()),
+                            ("site.redo.prev", Some(prev)),
+                            ("site.redo", Some(cut)),
+                        ]);
+                        want.check(&crash, &format!("epoch {k}, .prev, new snapshot, cut {b}"));
+                    }
+                }
+            }
+            if let Some((prev, covered)) = &epoch.rotation {
+                // Right after the rename: no live log yet.
+                write_dir(&crash, &[("site.snap", covered.as_deref()), ("site.redo.prev", Some(prev))]);
+                epoch.start.check(&crash, &format!("epoch {k}, after the rename"));
+            }
+        }
+        std::fs::remove_dir_all(&live).unwrap();
+        std::fs::remove_dir_all(&crash).unwrap();
     }
 }
