@@ -66,13 +66,13 @@ fn main() {
             .unwrap_or_default()
     );
 
-    let store = durable_dir.map(|dir| {
+    let mut store = durable_dir.map(|dir| {
         config.emit_persistence = true;
         let dir = std::path::Path::new(&dir).join(format!("site-{site_id}"));
         miniraid_storage::DurableStore::open(&dir, db_size).expect("open durable store")
     });
     let mut engine = SiteEngine::new(SiteId(site_id), config);
-    if let Some(store) = &store {
+    if let Some(store) = &mut store {
         restore(&mut engine, store);
         if store.last_txn() > 0 {
             // A restarted process rejoins via Recover.

@@ -403,9 +403,9 @@ impl<P: Topology> ClusterBuilder<P> {
         let mut handles = Vec::with_capacity(seats.len());
         let (mut hubs, mut controls, mut wal) = (Vec::new(), Vec::new(), Vec::new());
         let layers = sites.into_iter().zip(seats).zip(stores).zip(rejoining);
-        for (i, ((((transport, mailbox), seat), store), rejoin)) in layers.enumerate() {
+        for (i, ((((transport, mailbox), seat), mut store), rejoin)) in layers.enumerate() {
             let mut engine = SiteEngine::new(seat.id, seat.config);
-            if let Some(store) = &store {
+            if let Some(store) = &mut store {
                 wal.push(store.counters());
                 restore(&mut engine, store);
             }
@@ -481,34 +481,29 @@ fn rejoining(seats: &[Seat], last: &[u64]) -> Vec<bool> {
         .collect()
 }
 
-/// Load a store's durable state into a fresh engine — the one restore
+/// Move what a store recovered into a fresh engine — the one restore
 /// path of every launcher (`ClusterBuilder::durable` and the
-/// `miniraid-site` process). Fail-lock words and the session always
-/// load, whether or not anything committed. Instant restart: the
-/// snapshot image (already in memory) loads eagerly, but WAL records
-/// hand the engine a lazy restart image — items hydrate on first touch
-/// or via the site loop's background replay, so the site is operational
-/// before the log is re-applied. Whether the site then comes up down is
-/// the launcher's call ([`SiteEngine::assume_failed`]).
-pub fn restore(engine: &mut SiteEngine, store: &DurableStore) {
-    if store.last_txn() > 0 {
-        engine.preload_db(
-            store
-                .mem()
-                .iter()
-                .filter(|(_, v)| v.version > 0)
-                .map(|(item, v)| (ItemId(item), v)),
-        );
-        engine.preload_lazy(store.image());
-    }
+/// `miniraid-site` process). The recovered table moves into the engine,
+/// so the store keeps none. Fail-lock words and the session always load,
+/// whether or not anything committed. Instant restart: logged values
+/// reach the engine as a lazy restart image — items hydrate on first
+/// touch or via the site loop's background replay, so the site is
+/// operational before the log is re-applied. Whether the site then
+/// comes up down is the launcher's call ([`SiteEngine::assume_failed`]).
+pub fn restore(engine: &mut SiteEngine, store: &mut DurableStore) {
+    let Some(found) = store.take_recovered() else {
+        return;
+    };
+    engine.preload_table(found.table);
+    engine.preload_lazy(found.image);
     engine.preload_faillocks(
-        store
-            .faillocks()
-            .iter()
-            .map(|(item, word)| (ItemId(*item), *word)),
+        found
+            .faillocks
+            .into_iter()
+            .map(|(item, word)| (ItemId(item), word)),
     );
-    if store.session() > 0 {
-        engine.preload_session(SessionNumber(store.session()));
+    if found.session > 0 {
+        engine.preload_session(SessionNumber(found.session));
     }
 }
 

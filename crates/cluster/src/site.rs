@@ -461,20 +461,9 @@ pub fn run_site<T: Transport, M: Mailbox>(
 
     loop {
         // Background replay after an instant restart: hydrate a chunk of
-        // the engine's (and store's) restart image per iteration, and
-        // keep iterations short until replay completes.
-        let hydrating = {
-            let mut pending = 0u32;
-            if engine.hydration_remaining() > 0 {
-                pending += engine.hydrate_step(HYDRATE_CHUNK);
-            }
-            if let Some(d) = durable.as_mut() {
-                if d.store.pending_items() > 0 {
-                    pending += d.store.hydrate_step(HYDRATE_CHUNK).unwrap_or(0);
-                }
-            }
-            pending > 0
-        };
+        // the engine's restart image per iteration, and keep iterations
+        // short until replay completes.
+        let hydrating = engine.hydration_remaining() > 0 && engine.hydrate_step(HYDRATE_CHUNK) > 0;
 
         // Forget timers nothing waits on any more and fire the due ones
         // among the rest (firing one can end the wait behind another).
@@ -660,10 +649,11 @@ fn perform<T: Transport>(
     }
     flush_outbound(engine, transport, outbound, pool);
     // With the frames gone, one call keeps the log bounded: it rotates
-    // the log when it has outgrown its snapshot (the snapshot itself is
-    // written off this thread) and reports a failed snapshot write.
+    // the log when it has outgrown its snapshot (the snapshot of the
+    // engine's table is written off this thread) and reports a failed
+    // snapshot write.
     if let Some(d) = durable.as_mut() {
-        if let Err(err) = d.store.checkpoint_if_due() {
+        if let Err(err) = d.store.checkpoint_if_due(|| engine.checkpoint_view()) {
             fail_durable(engine, durable, timers, manager, outbound, pool, err);
         }
     }
@@ -976,7 +966,8 @@ mod tests {
         assert_eq!((sent[0].records, sent[0].fsyncs), (1, 1));
         drop(sent);
         drop(d.durable.take());
-        assert_eq!(DurableStore::open(&d.dir, 16).unwrap().session(), 3);
+        let mut store = DurableStore::open(&d.dir, 16).unwrap();
+        assert_eq!(store.take_recovered().unwrap().session, 3);
     }
 
     #[test]

@@ -4,14 +4,17 @@
 use std::path::Path;
 use std::time::Duration;
 
+use miniraid_cluster::cluster::restore;
 use miniraid_cluster::{ClusterBuilder, ClusterTiming, Launched, ManagingClient};
 use miniraid_core::config::{ProtocolConfig, TwoStepRecovery};
-use miniraid_core::ids::{ItemId, SiteId};
+use miniraid_core::engine::{Input, Output, SiteEngine};
+use miniraid_core::ids::{ItemId, SiteId, TxnId};
+use miniraid_core::messages::Command;
 use miniraid_core::ops::{Operation, Transaction};
 use miniraid_net::{Mailbox, Transport};
 use miniraid_obs::watch::parse_site_sample;
 use miniraid_storage::snapshot::Snapshot;
-use miniraid_storage::{DurableStore, LOG_PER_SNAPSHOT};
+use miniraid_storage::{DurableStore, ItemValue, MemStore, LOG_PER_SNAPSHOT};
 
 const WAIT: Duration = Duration::from_secs(5);
 
@@ -376,6 +379,204 @@ fn the_log_stays_a_few_snapshots_long_and_a_relaunch_reads_everything() {
         client.terminate_all();
         cluster.join(WAIT);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Bring `sites` back through recovery, retrying each until it rejoins:
+/// a site mid-rejoin can miss one fixed-size window when the whole
+/// workspace's tests run in parallel.
+fn rejoin<T: Transport, M: Mailbox>(client: &mut ManagingClient<T, M>, sites: &[u8]) {
+    let mut recovered = std::collections::HashSet::new();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while recovered.len() < sites.len() && std::time::Instant::now() < deadline {
+        for &s in sites {
+            if !recovered.contains(&s) && client.recover(SiteId(s), Duration::from_secs(2)).is_ok()
+            {
+                recovered.insert(s);
+            }
+        }
+    }
+    assert_eq!(recovered.len(), sites.len(), "rejoined: {recovered:?}");
+}
+
+#[test]
+fn a_type1_install_keeps_its_faillocks_across_a_total_failure() {
+    let dir = tmpdir("type1-words");
+    // Copies refresh only when read, so site 2's stale copy of x is still
+    // stale when every site fails.
+    let config = ProtocolConfig {
+        two_step_recovery: None,
+        ..config()
+    };
+    let (x, z) = (ItemId(4), ItemId(7));
+    let write = |item, value| vec![Operation::Write(item, value)];
+
+    // Incarnation 1: sites 1 and 2 fail and x commits at site 0 without
+    // them. Site 2 recovers through type-1 and learns the fail-locks of
+    // sites 1 and 2 on x; then it commits z with site 0, so the two tie
+    // on the last transaction and site 2, the last of them, is the
+    // bootstrap authority of the relaunch.
+    {
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config.clone(), &dir).launch().unwrap();
+        client.fail(SiteId(1));
+        client.fail(SiteId(2));
+        let committed = (0..4).any(|_| {
+            let id = client.next_txn_id();
+            client
+                .run_txn(SiteId(0), Transaction::new(id, write(x, 44)), WAIT)
+                .is_ok_and(|r| r.outcome.is_committed())
+        });
+        assert!(committed, "x commits once site 0 has noticed the failures");
+        rejoin(&mut client, &[2]);
+        let id = client.next_txn_id();
+        let report = client
+            .run_txn(SiteId(2), Transaction::new(id, write(z, 77)), WAIT)
+            .unwrap();
+        assert!(report.outcome.is_committed());
+        client.terminate_all();
+        cluster.join(WAIT);
+    }
+
+    // Incarnation 2: site 2 restores x's fail-locks from its own log, so
+    // it does not serve its stale copy, and sites 0 and 1, which adopt its
+    // table through type-1, keep knowing that theirs is fresh or stale.
+    {
+        let Launched {
+            cluster,
+            mut client,
+            ..
+        } = durable(config, &dir).launch().unwrap();
+        rejoin(&mut client, &[0, 1]);
+        for s in 0..3u8 {
+            let id = client.next_txn_id();
+            let report = client
+                .run_txn(
+                    SiteId(s),
+                    Transaction::new(id, vec![Operation::Read(x)]),
+                    WAIT,
+                )
+                .unwrap();
+            assert!(report.outcome.is_committed(), "site {s}: {report:?}");
+            assert_eq!(report.read_results[0].1.data, 44, "site {s} reads x");
+        }
+        client.terminate_all();
+        cluster.join(WAIT);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- the engine's table is the only table ---------------------------------
+
+/// A lone site's engine on the store in `dir`, restored the way every
+/// launcher restores one.
+fn lone_site(dir: &Path, db_size: u32) -> (SiteEngine, DurableStore) {
+    let mut store = DurableStore::open(dir, db_size).unwrap();
+    let config = ProtocolConfig {
+        db_size,
+        n_sites: 1,
+        emit_persistence: true,
+        ..ProtocolConfig::default()
+    };
+    let mut engine = SiteEngine::new(SiteId(0), config);
+    restore(&mut engine, &mut store);
+    (engine, store)
+}
+
+/// Commit `writes` at the lone site and log what it persists, as the
+/// site loop does.
+fn commit(engine: &mut SiteEngine, store: &mut DurableStore, id: u64, writes: &[(u32, u64)]) {
+    let ops = writes
+        .iter()
+        .map(|(item, value)| Operation::Write(ItemId(*item), *value))
+        .collect();
+    let begin = Command::Begin(Transaction::new(TxnId(id), ops));
+    let mut logged = false;
+    for output in engine.handle_owned(Input::Control(begin)) {
+        if let Output::Persist {
+            txn,
+            writes,
+            faillocks,
+        } = output
+        {
+            let writes: Vec<_> = writes.iter().map(|(item, v)| (item.0, *v)).collect();
+            let words: Vec<_> = faillocks.iter().map(|(item, w)| (item.0, *w)).collect();
+            store.commit_with_locks(txn.0, &writes, &words).unwrap();
+            logged = true;
+        }
+    }
+    assert!(logged, "txn {id} committed");
+    store.sync().unwrap();
+}
+
+/// The table a reopen of `dir` recovers, fully hydrated.
+fn recovered_table(dir: &Path, db_size: u32) -> MemStore {
+    let mut found = DurableStore::open(dir, db_size)
+        .unwrap()
+        .take_recovered()
+        .unwrap();
+    found.hydrate_all().unwrap();
+    found.table
+}
+
+#[test]
+fn a_write_to_an_item_pending_hydration_wins_over_its_logged_value() {
+    let dir = tmpdir("supersede");
+    {
+        let (mut engine, mut store) = lone_site(&dir, 8);
+        commit(&mut engine, &mut store, 1, &[(3, 30), (5, 50)]);
+    }
+    {
+        // Instant restart: both logged items are still pending when item
+        // 3 is written again, and the checkpoint comes before either
+        // hydrates in the background.
+        let (mut engine, mut store) = lone_site(&dir, 8);
+        assert_eq!(engine.hydration_remaining(), 2);
+        commit(&mut engine, &mut store, 2, &[(3, 31)]);
+        assert_eq!(engine.hydration_remaining(), 1, "item 5 still pending");
+        store.checkpoint(engine.checkpoint_view()).unwrap();
+    }
+    let table = recovered_table(&dir, 8);
+    assert_eq!(
+        table.get(3).unwrap(),
+        ItemValue::new(31, 2),
+        "the new value"
+    );
+    assert_eq!(table.get(5).unwrap(), ItemValue::new(50, 1));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_checkpoint_mid_hydration_snapshots_the_fully_hydrated_table() {
+    const ITEMS: u32 = 600;
+    let dir = tmpdir("mid-hydration");
+    {
+        let (mut engine, mut store) = lone_site(&dir, ITEMS);
+        for k in 0..ITEMS / 6 {
+            let writes: Vec<_> = (k * 6..k * 6 + 6).map(|i| (i, 1000 + i as u64)).collect();
+            commit(&mut engine, &mut store, k as u64 + 1, &writes);
+        }
+    }
+    let (mut engine, mut store) = lone_site(&dir, ITEMS);
+    assert_eq!(engine.hydration_remaining(), ITEMS);
+    engine.hydrate_step(ITEMS / 3);
+    assert!(engine.hydration_remaining() > 0, "mid-hydration");
+    store.checkpoint(engine.checkpoint_view()).unwrap();
+    engine.hydrate_step(ITEMS);
+    assert_eq!(engine.hydration_remaining(), 0);
+    let snapshot = Snapshot::read_from(&dir.join("site.snap"))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        &snapshot.store,
+        engine.db(),
+        "the snapshot is the hydrated table"
+    );
+    drop(store);
+    assert_eq!(&recovered_table(&dir, ITEMS), engine.db());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

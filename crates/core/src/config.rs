@@ -7,10 +7,8 @@
 //! overhead), and recovery can run the two-step batch-copier scheme the
 //! paper proposes in §3.2.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-step recovery parameters (paper §3.2 proposal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoStepRecovery {
     /// Fraction of the database fail-locked below which the recovering
     /// site switches to batch copier mode ("step two").
@@ -36,7 +34,7 @@ impl Default for TwoStepRecovery {
 /// read-one/write-*all* (blocks whenever any site is down, but needs no
 /// fail-locks or copiers) and majority quorum (partition-safe, but pays
 /// quorum reads and loses minority-side availability).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationStrategy {
     /// Read-one/write-all-available with session vectors, fail-locks,
     /// copier and control transactions (the paper's protocol).
@@ -51,7 +49,7 @@ pub enum ReplicationStrategy {
 }
 
 /// Static configuration of one site's protocol engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Number of data items in the (frequently referenced) database.
     pub db_size: u32,
@@ -107,13 +105,11 @@ pub struct ProtocolConfig {
     /// timeout, so a parked branch's participants never declare its
     /// coordinator failed while the global decision is still pending
     /// under healthy links.
-    #[serde(default = "default_shard_vote_timeout_ms")]
     pub shard_vote_timeout_ms: u64,
     /// Cross-shard 2PC: interval between re-drive rounds for
     /// committed-but-unconfirmed branches, in milliseconds. Longer than
     /// a healthy commit round-trip, so re-drives only fire when
     /// something actually failed.
-    #[serde(default = "default_shard_redrive_interval_ms")]
     pub shard_redrive_interval_ms: u64,
 }
 

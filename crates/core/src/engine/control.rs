@@ -8,7 +8,7 @@
 //! holding the last operational up-to-date copy of an item creates a
 //! backup copy on a site holding none.
 
-use crate::ids::{ItemId, SessionNumber, SiteId};
+use crate::ids::{ItemId, SessionNumber, SiteId, TxnId};
 use crate::messages::Message;
 use crate::packed::PackedSiteTable;
 use crate::session::{SiteRecord, SiteStatus};
@@ -242,7 +242,7 @@ impl SiteEngine {
             // responses union the missing bits back in (see
             // `on_late_recovery_info`).
             let before = self.faillocks.total_set();
-            self.faillocks.install_snapshot(&faillocks);
+            self.change_logged_words(|table| table.install_snapshot(&faillocks), out);
             self.account_faillock_delta(before);
         }
         // The replication map is replicated state too: adopt the
@@ -303,10 +303,40 @@ impl SiteEngine {
         self.vector.install_from(&received, me);
         if self.config.fail_locks_enabled {
             let before = self.faillocks.total_set();
-            self.faillocks.union_snapshot(&faillocks);
+            self.change_logged_words(|table| table.union_snapshot(&faillocks), out);
             if self.account_faillock_delta(before) > 0 {
                 out.push(Output::Work(Work::FailLockInstall(self.config.db_size)));
             }
+        }
+    }
+
+    /// Apply a received snapshot to the fail-lock table through `change`
+    /// and, when this site logs, persist every word it changed, so the
+    /// words a restart reads from the log stay exactly the engine's.
+    fn change_logged_words(
+        &mut self,
+        change: impl FnOnce(&mut crate::faillock::FailLockTable),
+        out: &mut Vec<Output>,
+    ) {
+        let before = self
+            .config
+            .emit_persistence
+            .then(|| self.faillocks.words().to_vec());
+        change(&mut self.faillocks);
+        let Some(before) = before else {
+            return;
+        };
+        let faillocks: Vec<(ItemId, u64)> = (0u32..)
+            .zip(before.iter().zip(self.faillocks.words()))
+            .filter(|(_, (was, now))| was != now)
+            .map(|(item, (_, now))| (ItemId(item), *now))
+            .collect();
+        if !faillocks.is_empty() {
+            out.push(Output::Persist {
+                txn: TxnId(0),
+                writes: Vec::new(),
+                faillocks,
+            });
         }
     }
 

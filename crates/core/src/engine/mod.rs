@@ -340,29 +340,41 @@ impl SiteEngine {
         }
     }
 
-    /// Preload the local database copy from durably recovered state
-    /// (e.g. a WAL-backed store after a process restart). Call before
-    /// processing any input. A restarted process is logically a
-    /// recovering site — pair this with [`SiteEngine::assume_failed`]
-    /// unless the site is the bootstrap authority of a full-cluster
-    /// restart; the session vector and fail-locks are then re-learned
-    /// through a type-1 control transaction, and copier transactions
-    /// refresh whatever the preloaded copy still misses.
-    pub fn preload_db(&mut self, items: impl IntoIterator<Item = (ItemId, ItemValue)>) {
-        for (item, value) in items {
-            self.db
-                .put(item.0, value)
-                .expect("preloaded item within database universe");
-        }
+    /// Take over the table a durable store recovered (e.g. after a
+    /// process restart): a move, not a copy. Call before processing any
+    /// input. A restarted process is logically a recovering site — pair
+    /// this with [`SiteEngine::assume_failed`] unless the site is the
+    /// bootstrap authority of a full-cluster restart; the session vector
+    /// and fail-locks are then re-learned through a type-1 control
+    /// transaction, and copier transactions refresh whatever the
+    /// preloaded copy still misses.
+    pub fn preload_table(&mut self, table: MemStore) {
+        assert_eq!(table.size(), self.config.db_size, "preloaded table size");
+        self.db = table;
     }
 
     /// Preload the local database copy *lazily* from a REDO-log image
     /// (instant restart): the engine becomes operational immediately and
     /// replays items on first access, while the driver pumps
-    /// [`SiteEngine::hydrate_step`] in the background. The alternative,
-    /// [`SiteEngine::preload_db`], applies everything up front.
+    /// [`SiteEngine::hydrate_step`] in the background.
     pub fn preload_lazy(&mut self, image: miniraid_storage::LazyImage) {
         self.lazy = (image.remaining() > 0).then_some(image);
+    }
+
+    /// What a durable checkpoint writes: this site's table, the restart
+    /// image it has not hydrated yet, its fail-lock words (none to scan
+    /// when no bit is set) and its session.
+    pub fn checkpoint_view(&self) -> miniraid_storage::SiteView<'_> {
+        let words = match self.faillocks.total_set() {
+            0 => &[][..],
+            _ => self.faillocks.words(),
+        };
+        miniraid_storage::SiteView {
+            table: &self.db,
+            pending: self.lazy.as_ref(),
+            words,
+            session: self.session().0,
+        }
     }
 
     /// Items still awaiting background replay (0 = fully hydrated).

@@ -1,12 +1,10 @@
 //! Error and abort types for the replication protocol.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{SiteId, TxnId};
 
 /// Why a database transaction aborted (paper Appendix A abort paths plus
 /// the session-number consistency check of §1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// A fail-locked read had no operational site holding an up-to-date
     /// copy — the cause of the 13 aborts in the paper's Experiment 3,

@@ -8,8 +8,6 @@
 //! supporting up to 64 sites, which "allowed the fail-lock operations to
 //! be performed very quickly").
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ItemId, SiteId};
 use crate::packed::{bits_of, PackedSiteTable};
 use crate::session::SessionVector;
@@ -34,7 +32,7 @@ use crate::session::SessionVector;
 /// table.clear(ItemId(7), SiteId(3));
 /// assert_eq!(table.total_set(), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailLockTable {
     /// `bits[item] & (1 << site)` set ⇔ fail-lock set for `site` on `item`.
     bits: Vec<u64>,
@@ -150,6 +148,12 @@ impl FailLockTable {
     /// deployments.
     pub fn word(&self, item: ItemId) -> u64 {
         self.bits[item.index()]
+    }
+
+    /// Every item's bitmap word, indexed by item — what a durable
+    /// checkpoint restates.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
     }
 
     /// Install one raw bitmap word (durable restart preload).

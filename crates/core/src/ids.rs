@@ -1,10 +1,8 @@
 //! Strongly-typed identifiers used throughout the protocol.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a database site. The paper's systems have 2 or 4 sites;
 /// the fail-lock bitmap representation supports up to 64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u8);
 
 impl SiteId {
@@ -21,7 +19,7 @@ impl std::fmt::Display for SiteId {
 }
 
 /// Identifier of a logical data item (dense, `0..database_size`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u32);
 
 impl ItemId {
@@ -40,7 +38,7 @@ impl std::fmt::Display for ItemId {
 /// Globally unique, monotonically increasing transaction identifier,
 /// assigned by the managing site. Doubles as the version stamp of the
 /// values the transaction writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl std::fmt::Display for TxnId {
@@ -52,7 +50,7 @@ impl std::fmt::Display for TxnId {
 /// A session number identifies one continuous period during which a site
 /// is operational (paper §1.1). It is incremented each time the site
 /// initiates recovery, so comparing session numbers detects status changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionNumber(pub u64);
 
 impl SessionNumber {
@@ -72,7 +70,7 @@ impl std::fmt::Display for SessionNumber {
 }
 
 /// Identifier for an in-flight copy request (copier transaction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
 #[cfg(test)]

@@ -7,8 +7,6 @@
 //! databases (§3.2). `Mgmt`/`MgmtReport` carry managing-site traffic when
 //! sites run as real processes/threads rather than inside the simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AbortReason;
 use crate::ids::{ItemId, ReqId, SessionNumber, SiteId, TxnId};
 use crate::packed::PackedSiteTable;
@@ -18,7 +16,7 @@ use miniraid_storage::ItemValue;
 /// Commands the managing site issues to a database site (paper §1.2: the
 /// managing site "was used to cause sites to fail and recover and to
 /// initiate a database transaction to a site").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Stop participating in any further system action.
     Fail,
@@ -37,7 +35,7 @@ pub enum Command {
 }
 
 /// Final outcome of a database transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
     /// Committed at every available copy.
     Committed,
@@ -55,7 +53,7 @@ impl TxnOutcome {
 /// Per-transaction statistics reported with the outcome (what the paper's
 /// managing site recorded for each transaction: fail-locks set/cleared,
 /// copier transactions requested).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Read operations executed.
     pub reads: u32,
@@ -75,7 +73,7 @@ pub struct TxnStats {
 }
 
 /// Outcome report delivered to whoever submitted the transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnReport {
     /// The transaction.
     pub txn: TxnId,
@@ -100,7 +98,7 @@ pub struct TxnReport {
 /// coordinator; begin record only → presumed abort (no participant has
 /// committed); commit record → re-drive the commit idempotently.
 /// Aborts are never logged (presumed abort).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XDecisionRecord {
     /// The cross-shard transaction id (shared by every branch).
     pub txn: TxnId,
@@ -124,7 +122,7 @@ pub struct XDecisionRecord {
 /// to the recipient) and frozen (`frozen = true`: the donor is
 /// read-only so the resharder's final sweep races no writer) — before
 /// the cutover map retires it and the recipient owns the range alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigratingRange {
     /// First item of the range (inclusive, global id).
     pub lo: u32,
@@ -147,7 +145,7 @@ impl MigratingRange {
 
 /// Messages exchanged between sites (and, for `Mgmt`/`MgmtReport`,
 /// between the managing site and database sites over a real transport).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     // ---- Two-phase commit (Appendix A) -------------------------------
     /// Phase one: the coordinator ships the write set to a participant.

@@ -1,11 +1,9 @@
 //! Per-site protocol counters, queryable by the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AbortReason;
 
 /// Aborted-transaction counts broken down by [`AbortReason`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbortBreakdown {
     /// No operational site held an up-to-date copy of a read item.
     pub data_unavailable: u64,
@@ -84,7 +82,7 @@ impl AbortBreakdown {
 }
 
 /// Cumulative counters maintained by a [`crate::engine::SiteEngine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Messages sent (all kinds).
     pub msgs_sent: u64,

@@ -10,8 +10,6 @@
 //! proportional to what varies: the bits every word has, plus one
 //! `items`-bit set per site whose bit some words have and some do not.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-item table of site bitmaps, packed for state transfer.
 ///
 /// ```
@@ -28,10 +26,10 @@ use serde::{Deserialize, Serialize};
 /// The value lives behind one pointer: it rides inside
 /// [`crate::messages::Message`], and every message moved through the
 /// engine and the transports pays for the size of the largest variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedSiteTable(Box<Parts>);
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Parts {
     items: u32,
     /// Site bits set in every word.

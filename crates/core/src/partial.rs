@@ -13,13 +13,11 @@
 //! these additional copies were not needed any more") when enough original
 //! holders are healthy again.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ItemId, SiteId};
 use crate::packed::PackedSiteTable;
 
 /// Which sites hold a copy of each item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicationMap {
     /// `holders[item] & (1 << site)` — site holds a copy of item.
     holders: Vec<u64>,

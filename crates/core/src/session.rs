@@ -6,13 +6,11 @@
 //! perceived state. Only sites the vector shows as operational participate
 //! in the ROWAA protocol.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{SessionNumber, SiteId};
 
 /// Perceived state of a site (paper §1.2: "site is up, site is down, site
 /// is waiting to recover, and site is terminating").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteStatus {
     /// Operational: processing transactions.
     Up,
@@ -32,7 +30,7 @@ impl SiteStatus {
 }
 
 /// One per-site record within a nominal session vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteRecord {
     /// Perceived session number.
     pub session: SessionNumber,
@@ -59,7 +57,7 @@ pub struct SiteRecord {
 /// assert!(!vector.apply_failure_announcement(SiteId(1), SessionNumber(1)));
 /// assert!(vector.is_up(SiteId(1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionVector {
     records: Vec<SiteRecord>,
 }

@@ -642,3 +642,113 @@ fn commit_spanning_a_type1_leaves_the_recovered_site_stale_without_a_faillock() 
     assert!(stale.outcome.is_committed());
     assert_eq!(stale.read_results[0].1.version, 0, "ROADMAP item 3");
 }
+
+/// Every site's engine holds exactly the fail-lock words it last logged:
+/// what a durable restart would read back.
+fn assert_logged_words_are_the_engines(pump: &Pump) {
+    for engine in &pump.engines {
+        let mut logged = vec![0u64; engine.config().db_size as usize];
+        for (_, item, word) in pump
+            .observed
+            .logged_words
+            .iter()
+            .filter(|(site, _, _)| *site == engine.id())
+        {
+            logged[item.index()] = *word;
+        }
+        let held: Vec<u64> = (0..engine.config().db_size)
+            .map(|item| engine.faillocks().word(ItemId(item)))
+            .collect();
+        assert_eq!(logged, held, "logged words at {}", engine.id());
+    }
+}
+
+#[test]
+fn a_type1_install_logs_the_faillock_words_it_changes() {
+    let mut pump = Pump::new(ProtocolConfig {
+        emit_persistence: true,
+        ..cfg(3)
+    });
+    // Sites 1 and 2 fail, and x = item 4 commits at site 0 without them.
+    pump.fail(SiteId(1));
+    pump.fail(SiteId(2));
+    let committed = (1..=3u64).any(|id| {
+        let report = pump.run_txn(SiteId(0), Transaction::new(TxnId(id), vec![write(4, 44)]));
+        report.outcome.is_committed()
+    });
+    assert!(committed, "x commits once site 0 has noticed the failures");
+    let site0 = pump.engine(SiteId(0)).faillocks();
+    assert!(site0.is_locked(ItemId(4), SiteId(1)) && site0.is_locked(ItemId(4), SiteId(2)));
+
+    // Site 2 recovers through type-1 and learns both bits on x, its own
+    // included: it must log them, or a restart forgets its copy is stale.
+    pump.recover(SiteId(2));
+    let site2 = pump.engine(SiteId(2));
+    assert!(site2.is_up());
+    assert!(site2.faillocks().is_locked(ItemId(4), SiteId(1)));
+    assert!(site2.faillocks().is_locked(ItemId(4), SiteId(2)));
+    assert_logged_words_are_the_engines(&pump);
+
+    // A later commit elsewhere keeps the two in step.
+    let z = pump.run_txn(SiteId(2), Transaction::new(TxnId(9), vec![write(7, 77)]));
+    assert!(z.outcome.is_committed());
+    assert_logged_words_are_the_engines(&pump);
+}
+
+#[test]
+fn a_late_recovery_response_logs_the_faillock_words_its_union_adds() {
+    use miniraid_core::packed::PackedSiteTable;
+    fn sends(out: Vec<Output>) -> Vec<(SiteId, Message)> {
+        out.into_iter()
+            .filter_map(|o| match o {
+                Output::Send { to, msg } => Some((to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+    let mut pump = Pump::new(ProtocolConfig {
+        emit_persistence: true,
+        ..cfg(3)
+    });
+    // Site 2 fails, and x = item 4 commits at sites 0 and 1 without it.
+    pump.fail(SiteId(2));
+    let committed = (1..=3u64).any(|id| {
+        let report = pump.run_txn(SiteId(0), Transaction::new(TxnId(id), vec![write(4, 44)]));
+        report.outcome.is_committed()
+    });
+    assert!(committed, "x commits once site 0 has noticed the failure");
+
+    // Site 2 asks both for state; both format it.
+    let asks = sends(pump.engines[2].handle_owned(Input::Control(Command::Recover)));
+    let mut answers: Vec<(SiteId, Message)> = Vec::new();
+    for (donor, ask) in asks {
+        let reply = pump.engines[donor.index()].handle_owned(Input::Deliver {
+            from: SiteId(2),
+            msg: ask,
+        });
+        answers.extend(sends(reply).into_iter().map(|(_, msg)| (donor, msg)));
+    }
+    assert_eq!(answers.len(), 2, "{answers:?}");
+
+    // Site 0's answer arrives first but stale, with x's bit missing: the
+    // install leaves site 2's copy of x unmarked ...
+    let (first, mut stale) = answers.remove(0);
+    if let Message::RecoveryInfo { faillocks, .. } = &mut stale {
+        *faillocks = PackedSiteTable::pack(&[0; 10]);
+    }
+    pump.deliver(SiteId(2), first, stale);
+    assert!(!pump
+        .engine(SiteId(2))
+        .faillocks()
+        .is_locked(ItemId(4), SiteId(2)));
+
+    // ... until the late, honest answer unions the bit back in. The word
+    // it changed must reach the log as well.
+    let (second, honest) = answers.remove(0);
+    pump.deliver(SiteId(2), second, honest);
+    assert!(pump
+        .engine(SiteId(2))
+        .faillocks()
+        .is_locked(ItemId(4), SiteId(2)));
+    assert_logged_words_are_the_engines(&pump);
+}

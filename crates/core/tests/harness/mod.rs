@@ -16,7 +16,7 @@ use miniraid_core::engine::{Input, Output, SiteEngine, TimerId};
 use miniraid_core::messages::{Command, Message, TxnReport};
 use miniraid_core::ops::Transaction;
 use miniraid_core::partial::ReplicationMap;
-use miniraid_core::{ProtocolConfig, SiteId};
+use miniraid_core::{ItemId, ProtocolConfig, SiteId};
 
 /// Non-send outputs observed while pumping.
 #[derive(Debug, Default)]
@@ -25,6 +25,8 @@ pub struct Observed {
     pub became_operational: Vec<SiteId>,
     pub data_recovered: Vec<SiteId>,
     pub recovery_failed: Vec<SiteId>,
+    /// Fail-lock words each site emitted for its log, in output order.
+    pub logged_words: Vec<(SiteId, ItemId, u64)>,
 }
 
 pub struct Pump {
@@ -84,7 +86,11 @@ impl Pump {
                 Output::BecameOperational { .. } => self.observed.became_operational.push(site),
                 Output::DataRecoveryComplete => self.observed.data_recovered.push(site),
                 Output::RecoveryFailed => self.observed.recovery_failed.push(site),
-                Output::Work(_) | Output::Persist { .. } => {}
+                Output::Persist { faillocks, .. } => self
+                    .observed
+                    .logged_words
+                    .extend(faillocks.into_iter().map(|(item, word)| (site, item, word))),
+                Output::Work(_) => {}
             }
         }
     }

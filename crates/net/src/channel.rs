@@ -1,15 +1,15 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport over `std::sync::mpsc` channels.
 //!
 //! Messages are serialized through the binary codec on send and decoded
 //! on receive, so the wire format is exercised even in-process (the
 //! cluster integration tests rely on this).
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use miniraid_core::ids::SiteId;
@@ -30,7 +30,7 @@ impl ChannelNetwork {
         let mut senders: Vec<Sender<Frame>> = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Frame>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

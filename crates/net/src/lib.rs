@@ -7,7 +7,7 @@
 //!
 //! Provides:
 //! * a binary wire [`codec`] for every protocol message,
-//! * an in-process [`channel`] transport (crossbeam channels, one Unix
+//! * an in-process [`channel`] transport (`std::sync::mpsc` channels, one Unix
 //!   process — exactly the paper's mini-RAID deployment shape),
 //! * a [`tcp`] transport over `std::net` for multi-process deployments,
 //!   whose mailbox waits on its own sockets (one `ppoll`, declared in the

@@ -1,7 +1,7 @@
 //! JSONL trace encoding: one flat JSON object per event per line.
 //!
-//! Hand-rolled on purpose — the workspace vendors a no-op `serde` stub
-//! (the build environment is offline), so both the encoder and the
+//! Hand-rolled on purpose — the workspace has no serialization library
+//! (it builds offline from `vendor/`), so both the encoder and the
 //! schema-validating parser live here. The schema is flat and stable:
 //!
 //! ```json

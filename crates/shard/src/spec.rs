@@ -15,10 +15,8 @@
 use miniraid_core::config::ProtocolConfig;
 use miniraid_core::ids::{ItemId, SiteId};
 use miniraid_core::partial::ReplicationMap;
-use serde::{Deserialize, Serialize};
-
 /// Static description of a sharded topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Number of replication groups (1 = the unsharded protocol).
     pub n_groups: u8,

@@ -11,10 +11,8 @@
 //! absolute 1987 VAX milliseconds.
 
 use miniraid_core::engine::Work;
-use serde::{Deserialize, Serialize};
-
 /// How site CPU is provisioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessorModel {
     /// All sites share one processor (the paper's mini-RAID deployment:
     /// "database sites were implemented as Unix processes (on one
@@ -27,7 +25,7 @@ pub enum ProcessorModel {
 }
 
 /// Per-operation CPU costs (microseconds) plus message-passing costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of one intersite communication. Under
     /// [`ProcessorModel::SharedSingle`] this is CPU charged at the sender
@@ -156,7 +154,7 @@ impl Default for CostModel {
 /// Timer durations (microseconds). Participant timeouts exceed
 /// coordinator timeouts so an aborting coordinator always reaches its
 /// participants before they suspect it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
     /// Coordinator waiting for phase-one acks.
     pub ack_timeout: u64,

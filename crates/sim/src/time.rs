@@ -1,11 +1,7 @@
 //! Virtual time, in microseconds.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time (microseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VTime(pub u64);
 
 impl VTime {

@@ -1,5 +1,6 @@
-//! [`DurableStore`]: the in-memory table fronted by a REDO-only WAL and
-//! snapshots.
+//! [`DurableStore`]: a site's REDO-only WAL and its snapshots. The store
+//! is a log, not a second table: it appends, syncs, rotates and opens,
+//! and the only table of a running site is its engine's.
 //!
 //! This is the production-path storage a site would run with; the paper's
 //! experiments use bare [`MemStore`] (I/O factored out), and the protocol
@@ -13,19 +14,23 @@
 //! after that sync, so no message announces a commit before the fsync
 //! covering it completes — only the fsync count drops.
 //!
-//! Restart is **instant**: [`DurableStore::open`] scans the log for frame
-//! integrity and per-item chain heads but does not apply values. Reads
-//! hydrate on demand from the [`LazyImage`]; [`DurableStore::hydrate_step`]
-//! replays the rest in the background.
+//! Restart is **instant**: [`DurableStore::open`] reads the snapshot and
+//! scans the log for frame integrity and per-item chain heads, but does
+//! not apply values. What it found — the table, the [`LazyImage`] of
+//! logged values, the fail-lock words and the session — is one
+//! [`Recovered`] value that the site takes once
+//! ([`DurableStore::take_recovered`]) and moves into its engine, which
+//! hydrates the image on demand and in the background.
 //!
 //! The log **stops growing**: once `site.redo` holds more than
 //! [`LOG_PER_SNAPSHOT`] snapshots' worth of bytes,
 //! [`DurableStore::checkpoint_if_due`] rotates it — sync, rename it to
 //! `site.redo.prev`, start a fresh `site.redo` that opens with a
 //! checkpoint marker and restates the session and fail-lock words — and a
-//! helper thread writes `site.snap` from a copy of the table, then
-//! deletes `site.redo.prev`. A restart reads one snapshot and a log of at
-//! most that many snapshots plus one drain, however long the site ran.
+//! helper thread writes `site.snap` from a copy of the caller's table
+//! (a [`SiteView`]), then deletes `site.redo.prev`. A restart reads one
+//! snapshot and a log of at most that many snapshots plus one drain,
+//! however long the site ran.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -52,20 +57,58 @@ const SNAP: &str = "site.snap";
 /// finishes without one.
 pub const LOG_PER_SNAPSHOT: u64 = 4;
 
-/// A crash-recoverable store: `MemStore` + group-commit REDO WAL +
-/// snapshot checkpointing.
+/// What [`DurableStore::open`] found on disk. Later appends do not
+/// change it: it is the starting state of the site that takes it.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The snapshot's table (an initial one if there is none), with an
+    /// interrupted checkpoint's `site.redo.prev` replayed over it.
+    pub table: MemStore,
+    /// The live log's values, not yet applied to `table`.
+    pub image: LazyImage,
+    /// Fail-lock bitmap words (item -> word), last write wins.
+    pub faillocks: HashMap<u32, u64>,
+    /// The site's own session number (0 = never logged).
+    pub session: u64,
+}
+
+impl Recovered {
+    /// Apply every value still pending in `image` to `table`.
+    pub fn hydrate_all(&mut self) -> Result<()> {
+        while let Some((item, value)) = self.image.take_next() {
+            self.table.put(item, value)?;
+        }
+        Ok(())
+    }
+}
+
+/// What a checkpoint writes, read from the site that owns the state: the
+/// snapshot is `table` with `pending` folded in, and the fresh log
+/// restates `words` and `session`.
+#[derive(Debug, Clone, Copy)]
+pub struct SiteView<'a> {
+    /// The site's table.
+    pub table: &'a MemStore,
+    /// Logged values `table` has not hydrated yet.
+    pub pending: Option<&'a LazyImage>,
+    /// Fail-lock bitmap words indexed by item. Zeros are skipped, so a
+    /// site with no fail-lock set may pass an empty slice.
+    pub words: &'a [u64],
+    /// The site's own session number (0 = none to restate).
+    pub session: u64,
+}
+
+/// A crash-recoverable site log: group-commit REDO WAL + snapshot
+/// checkpointing.
 #[derive(Debug)]
 pub struct DurableStore {
-    mem: MemStore,
-    /// Logged values not yet applied to `mem` (instant restart).
-    image: LazyImage,
     wal: GroupCommitWal,
     dir: PathBuf,
+    /// Items in the universe the log covers.
+    size: u32,
     last_txn: u64,
-    /// Recovered fail-lock bitmap words (item -> word), last-write-wins.
-    faillocks: HashMap<u32, u64>,
-    /// Recovered own session number (0 = never logged).
-    session: u64,
+    /// What `open` found, until the site takes it.
+    recovered: Option<Recovered>,
     /// The running checkpoint's snapshot writer.
     snapshotter: Option<JoinHandle<Result<()>>>,
 }
@@ -73,24 +116,26 @@ pub struct DurableStore {
 impl DurableStore {
     /// Open a durable store in `dir`. Returns immediately after reading
     /// the snapshot and scanning the log (frame validation + chain heads)
-    /// — logged values are *reachable* but not yet applied; they hydrate
-    /// on first read or via [`DurableStore::hydrate_step`]. A checkpoint
+    /// — logged values are *reachable* but not yet applied. A checkpoint
     /// a crash interrupted is completed first.
     pub fn open(dir: &Path, size: u32) -> Result<DurableStore> {
         std::fs::create_dir_all(dir)?;
-        let (mem, snap_txn) = match Snapshot::read_from(&dir.join(SNAP))? {
+        let (table, snap_txn) = match Snapshot::read_from(&dir.join(SNAP))? {
             Some(snap) => (snap.store, snap.last_txn),
             None => (MemStore::new(size), 0),
         };
         let (wal, state) = GroupCommitWal::open(&dir.join(LOG), size)?;
         let mut store = DurableStore {
-            mem,
-            image: LazyImage::from_log(state.raw, state.heads),
             wal,
             dir: dir.to_path_buf(),
+            size,
             last_txn: snap_txn.max(state.last_txn),
-            faillocks: state.faillocks,
-            session: state.session,
+            recovered: Some(Recovered {
+                table,
+                image: LazyImage::from_log(state.raw, state.heads),
+                faillocks: state.faillocks,
+                session: state.session,
+            }),
             snapshotter: None,
         };
         match std::fs::read(dir.join(PREV)) {
@@ -110,42 +155,41 @@ impl DurableStore {
     /// delete `.prev`: the interrupted checkpoint, completed before the
     /// store serves.
     fn finish_checkpoint(&mut self, prev: Vec<u8>, snap_txn: u64) -> Result<()> {
-        let prev = redo::scan(prev, self.mem.size())?;
+        let prev = redo::scan(prev, self.size)?;
+        let found = self.recovered.as_mut().expect("open holds what it found");
         let mut image = LazyImage::from_log(prev.raw, prev.heads);
         while let Some((item, value)) = image.take_next() {
-            self.mem.put(item, value)?;
+            found.table.put(item, value)?;
         }
         // The live log is the newer one: its words and session win.
         let mut faillocks = prev.faillocks;
-        faillocks.extend(self.faillocks.drain());
-        self.faillocks = faillocks;
-        if self.session == 0 {
-            self.session = prev.session;
+        faillocks.extend(found.faillocks.drain());
+        found.faillocks = faillocks;
+        if found.session == 0 {
+            found.session = prev.session;
         }
         self.last_txn = self.last_txn.max(prev.last_txn);
-        self.restate_protocol_state()?;
+        let mut words: Vec<(u32, u64)> = found
+            .faillocks
+            .iter()
+            .filter(|(_, word)| **word != 0)
+            .map(|(item, word)| (*item, *word))
+            .collect();
+        words.sort_unstable();
+        restate(&mut self.wal, found.session, &words)?;
         self.wal.sync()?;
         let snapshot = Snapshot {
-            store: self.mem.clone(),
+            store: found.table.clone(),
             last_txn: snap_txn.max(prev.last_txn),
         };
-        let size = self.mem.size();
-        write_snapshot(
-            snapshot,
-            LazyImage::empty(size),
-            &self.dir,
-            &self.wal.counters(),
-        )
+        write_snapshot(snapshot, None, &self.dir, &self.wal.counters())
     }
 
-    /// Recovered fail-lock words (item -> bitmap word).
-    pub fn faillocks(&self) -> &HashMap<u32, u64> {
-        &self.faillocks
-    }
-
-    /// Recovered session number (0 if never logged).
-    pub fn session(&self) -> u64 {
-        self.session
+    /// Hand over what `open` found: the table, the restart image, the
+    /// fail-lock words and the session, moved out once. `None` after the
+    /// first call.
+    pub fn take_recovered(&mut self) -> Option<Recovered> {
+        self.recovered.take()
     }
 
     /// Writer-side counters (fsyncs, commit records, bytes), shared.
@@ -153,86 +197,44 @@ impl DurableStore {
         self.wal.counters()
     }
 
-    /// A handle to the not-yet-replayed committed image, for a protocol
-    /// engine that wants to hydrate its own table lazily (instant
-    /// restart). The clone tracks its hydration progress independently.
-    pub fn image(&self) -> LazyImage {
-        self.image.clone()
-    }
-
     /// Log the site's session number. Buffered: rides the next group
     /// sync (the site loop holds the recovery announcement until then).
     pub fn log_session(&mut self, session: u64) -> Result<()> {
-        self.wal.append_session(session)?;
-        self.session = session;
-        Ok(())
+        self.wal.append_session(session)
     }
 
     /// Record fail-lock words alongside whatever was last committed
-    /// (standalone clear-fail-lock traffic; commit-attached words travel
-    /// inside [`DurableStore::commit`]). Buffered into the group batch —
-    /// fail-lock durability needs no fsync of its own.
+    /// (standalone fail-lock traffic; commit-attached words travel
+    /// inside [`DurableStore::commit_with_locks`]). Buffered into the
+    /// group batch — fail-lock durability needs no fsync of its own.
     pub fn log_faillocks(&mut self, words: &[(u32, u64)]) -> Result<()> {
         if words.is_empty() {
             return Ok(());
         }
-        self.wal.append_faillocks(words)?;
-        for (item, word) in words {
-            self.faillocks.insert(*item, *word);
-        }
-        Ok(())
+        self.wal.append_faillocks(words)
     }
 
-    /// Read one item, hydrating it from the log image if this is the
-    /// first access since restart (on-demand chain replay).
-    pub fn get(&mut self, item: u32) -> Result<ItemValue> {
-        if let Some(v) = self.image.take(item) {
-            self.mem.put(item, v)?;
-        }
-        self.mem.get(item)
-    }
-
-    /// Highest committed transaction id recovered or applied so far.
+    /// Highest committed transaction id recovered or logged so far.
     pub fn last_txn(&self) -> u64 {
         self.last_txn
     }
 
-    /// Access the in-memory table (e.g. for digests). Excludes items not
-    /// yet replayed after a restart — call [`DurableStore::hydrate_all`]
-    /// first when the full image is needed.
-    pub fn mem(&self) -> &MemStore {
-        &self.mem
-    }
-
-    /// Items still awaiting background replay.
+    /// Items of the not-yet-taken [`Recovered`] still awaiting replay
+    /// (0 once taken).
     pub fn pending_items(&self) -> u32 {
-        self.image.remaining()
+        self.recovered.as_ref().map_or(0, |r| r.image.remaining())
     }
 
-    /// Background replay: hydrate up to `max` items, returning how many
-    /// remain afterwards.
-    pub fn hydrate_step(&mut self, max: u32) -> Result<u32> {
-        for _ in 0..max {
-            match self.image.take_next() {
-                Some((item, v)) => self.mem.put(item, v)?,
-                None => break,
-            }
-        }
-        Ok(self.image.remaining())
-    }
-
-    /// Replay everything still pending.
+    /// [`Recovered::hydrate_all`] on the not-yet-taken [`Recovered`].
     pub fn hydrate_all(&mut self) -> Result<()> {
-        while let Some((item, v)) = self.image.take_next() {
-            self.mem.put(item, v)?;
-        }
-        Ok(())
+        self.recovered
+            .as_mut()
+            .map_or(Ok(()), Recovered::hydrate_all)
     }
 
-    /// Apply a committed transaction: append one self-contained REDO
-    /// record (write set + fail-lock words) and update the table.
-    /// **Not durable** until the next [`DurableStore::sync`] — the group
-    /// commit the caller schedules.
+    /// Log a committed transaction: one self-contained REDO record
+    /// (write set + fail-lock words). **Not durable** until the next
+    /// [`DurableStore::sync`] — the group commit the caller schedules.
     pub fn commit_with_locks(
         &mut self,
         txn: u64,
@@ -240,15 +242,6 @@ impl DurableStore {
         faillocks: &[(u32, u64)],
     ) -> Result<()> {
         self.wal.append_commit(txn, writes, faillocks)?;
-        for (item, value) in writes {
-            // The fresh write supersedes whatever the restart image held
-            // (version-ordered apply happens upstream in the engine).
-            self.image.supersede(*item);
-            self.mem.put(*item, *value)?;
-        }
-        for (item, word) in faillocks {
-            self.faillocks.insert(*item, *word);
-        }
         self.last_txn = self.last_txn.max(txn);
         Ok(())
     }
@@ -264,13 +257,6 @@ impl DurableStore {
         self.wal.sync()
     }
 
-    /// Record an aborted transaction. REDO-only logging writes nothing:
-    /// uncommitted work never reaches the log, so an abort needs neither
-    /// a record nor durability. Kept for API compatibility.
-    pub fn abort(&mut self, _txn: u64) -> Result<()> {
-        Ok(())
-    }
-
     /// Bytes in the live log (`site.redo`), synced or not.
     pub fn log_bytes(&self) -> u64 {
         self.wal.len()
@@ -278,10 +264,12 @@ impl DurableStore {
 
     /// Start a checkpoint if one is due: the live log holds more than
     /// [`LOG_PER_SNAPSHOT`] snapshots' worth of bytes and no checkpoint
-    /// is running. The site loop calls this once per drain, after the
-    /// drain's sync and sends. A finished checkpoint is collected first;
-    /// if its snapshot writer failed, that error is returned.
-    pub fn checkpoint_if_due(&mut self) -> Result<()> {
+    /// is running. `view` is called only then, so a call that rotates
+    /// nothing costs a length comparison. The site loop calls this once
+    /// per drain, after the drain's sync and sends. A finished
+    /// checkpoint is collected first; if its snapshot writer failed,
+    /// that error is returned.
+    pub fn checkpoint_if_due<'a>(&mut self, view: impl FnOnce() -> SiteView<'a>) -> Result<()> {
         if self
             .snapshotter
             .as_ref()
@@ -289,9 +277,9 @@ impl DurableStore {
         {
             self.wait_checkpoint()?;
         }
-        let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(self.mem.size());
+        let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(self.size);
         if self.snapshotter.is_none() && self.wal.len() > due {
-            self.start_checkpoint()?;
+            self.start_checkpoint(view())?;
         }
         Ok(())
     }
@@ -308,32 +296,39 @@ impl DurableStore {
         }
     }
 
-    /// Checkpoint now, whatever the log's length, and wait for it: the
-    /// rotation and snapshot [`DurableStore::checkpoint_if_due`] starts.
-    pub fn checkpoint(&mut self) -> Result<()> {
+    /// Checkpoint `view` now, whatever the log's length, and wait for
+    /// it: the rotation and snapshot [`DurableStore::checkpoint_if_due`]
+    /// starts.
+    pub fn checkpoint(&mut self, view: SiteView<'_>) -> Result<()> {
         self.wait_checkpoint()?;
-        self.start_checkpoint()?;
+        self.start_checkpoint(view)?;
         self.wait_checkpoint()
     }
 
     /// A checkpoint's first half, on the caller's thread and cheap: sync
     /// the log and rename it to `.prev`; start a fresh log that opens
-    /// with the checkpoint marker and restates the protocol state; make
-    /// the new file and the directory durable; hand a copy of the table
-    /// to the snapshot writer.
-    fn start_checkpoint(&mut self) -> Result<()> {
+    /// with the checkpoint marker and restates the view's session and
+    /// non-zero words; make the new file and the directory durable; hand
+    /// a copy of the view's table and pending image to the snapshot
+    /// writer.
+    fn start_checkpoint(&mut self, view: SiteView<'_>) -> Result<()> {
         self.wal.sync()?;
         std::fs::rename(self.dir.join(LOG), self.dir.join(PREV))?;
         self.wal.start_fresh(&self.dir.join(LOG))?;
         self.wal.append_checkpoint(self.last_txn)?;
-        self.restate_protocol_state()?;
+        let words: Vec<(u32, u64)> = (0u32..)
+            .zip(view.words)
+            .filter(|(_, word)| **word != 0)
+            .map(|(item, word)| (item, *word))
+            .collect();
+        restate(&mut self.wal, view.session, &words)?;
         self.wal.sync()?;
         sync_dir(&self.dir)?;
         let snapshot = Snapshot {
-            store: self.mem.clone(),
+            store: view.table.clone(),
             last_txn: self.last_txn,
         };
-        let pending = self.image.clone();
+        let pending = view.pending.cloned();
         let (dir, counters) = (self.dir.clone(), self.wal.counters());
         let writer = std::thread::Builder::new()
             .name("miniraid-snapshot".into())
@@ -341,22 +336,19 @@ impl DurableStore {
         self.snapshotter = Some(writer);
         Ok(())
     }
+}
 
-    /// Append the protocol state no snapshot holds — the session and
-    /// every non-zero fail-lock word — so the live log alone carries it
-    /// once the logs before it are gone. Buffered.
-    fn restate_protocol_state(&mut self) -> Result<()> {
-        if self.session > 0 {
-            self.wal.append_session(self.session)?;
-        }
-        self.faillocks.retain(|_, word| *word != 0);
-        if !self.faillocks.is_empty() {
-            let mut words: Vec<(u32, u64)> = self.faillocks.iter().map(|(i, w)| (*i, *w)).collect();
-            words.sort_unstable();
-            self.wal.append_faillocks(&words)?;
-        }
-        Ok(())
+/// Append the protocol state no snapshot holds — the session and the
+/// non-zero fail-lock words, sorted by item — so the live log alone
+/// carries it once the logs before it are gone. Buffered.
+fn restate(wal: &mut GroupCommitWal, session: u64, words: &[(u32, u64)]) -> Result<()> {
+    if session > 0 {
+        wal.append_session(session)?;
     }
+    if !words.is_empty() {
+        wal.append_faillocks(words)?;
+    }
+    Ok(())
 }
 
 /// A checkpoint's second half, on the snapshot writer (or, completing an
@@ -365,12 +357,14 @@ impl DurableStore {
 /// delete the log it covers.
 fn write_snapshot(
     mut snapshot: Snapshot,
-    mut pending: LazyImage,
+    pending: Option<LazyImage>,
     dir: &Path,
     counters: &WalCounters,
 ) -> Result<()> {
-    while let Some((item, value)) = pending.take_next() {
-        snapshot.store.put(item, value)?;
+    if let Some(mut pending) = pending {
+        while let Some((item, value)) = pending.take_next() {
+            snapshot.store.put(item, value)?;
+        }
     }
     let bytes = snapshot.write_to(&dir.join(SNAP))?;
     std::fs::remove_file(dir.join(PREV))?;
@@ -403,6 +397,49 @@ mod tests {
         p
     }
 
+    /// Reopen `dir` and take everything it recovered, fully hydrated.
+    fn reopen(dir: &Path, size: u32) -> (DurableStore, Recovered) {
+        let mut s = DurableStore::open(dir, size).unwrap();
+        let mut found = s.take_recovered().unwrap();
+        found.hydrate_all().unwrap();
+        (s, found)
+    }
+
+    /// The state a site running on a store holds: the table a checkpoint
+    /// snapshots, and the words and session it restates.
+    struct Site {
+        table: MemStore,
+        words: Vec<u64>,
+        session: u64,
+    }
+
+    impl Site {
+        fn new(size: u32) -> Site {
+            Site {
+                table: MemStore::new(size),
+                words: vec![0; size as usize],
+                session: 0,
+            }
+        }
+
+        /// Commit to the store and apply to the table.
+        fn commit(&mut self, s: &mut DurableStore, txn: u64, writes: &[(u32, ItemValue)]) {
+            s.commit(txn, writes).unwrap();
+            for (item, value) in writes {
+                self.table.put(*item, *value).unwrap();
+            }
+        }
+
+        fn view(&self) -> SiteView<'_> {
+            SiteView {
+                table: &self.table,
+                pending: None,
+                words: &self.words,
+                session: self.session,
+            }
+        }
+    }
+
     #[test]
     fn commit_survives_reopen() {
         let dir = tmpdir("reopen");
@@ -412,10 +449,36 @@ mod tests {
             s.commit(2, &[(4, ItemValue::new(40, 2)), (3, ItemValue::new(31, 2))])
                 .unwrap();
         }
-        let mut s = DurableStore::open(&dir, 10).unwrap();
-        assert_eq!(s.get(3).unwrap(), ItemValue::new(31, 2));
-        assert_eq!(s.get(4).unwrap(), ItemValue::new(40, 2));
+        let (s, found) = reopen(&dir, 10);
+        assert_eq!(found.table.get(3).unwrap(), ItemValue::new(31, 2));
+        assert_eq!(found.table.get(4).unwrap(), ItemValue::new(40, 2));
         assert_eq!(s.last_txn(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_hands_off_what_it_found_once() {
+        let dir = tmpdir("hand-off");
+        {
+            let mut s = DurableStore::open(&dir, 8).unwrap();
+            for txn in 1..=6u64 {
+                let item = (txn % 3) as u32;
+                s.commit(txn, &[(item, ItemValue::new(txn * 10, txn))])
+                    .unwrap();
+            }
+        }
+        let mut s = DurableStore::open(&dir, 8).unwrap();
+        // Instant restart: values are pending, not applied.
+        assert_eq!(s.pending_items(), 3);
+        let mut found = s.take_recovered().unwrap();
+        assert_eq!(found.table.get(0).unwrap(), ItemValue::INITIAL);
+        assert_eq!(found.image.take(0), Some(ItemValue::new(60, 6)));
+        found.hydrate_all().unwrap();
+        assert_eq!(found.table.get(1).unwrap(), ItemValue::new(40, 4));
+        assert_eq!(found.table.get(2).unwrap(), ItemValue::new(50, 5));
+        // The store keeps no table once the site has taken it.
+        assert!(s.take_recovered().is_none());
+        assert_eq!(s.pending_items(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -437,31 +500,18 @@ mod tests {
     }
 
     #[test]
-    fn aborted_txn_leaves_no_trace_in_state() {
-        let dir = tmpdir("abort");
-        {
-            let mut s = DurableStore::open(&dir, 10).unwrap();
-            s.commit(1, &[(0, ItemValue::new(1, 1))]).unwrap();
-            s.abort(2).unwrap();
-        }
-        let mut s = DurableStore::open(&dir, 10).unwrap();
-        assert_eq!(s.get(0).unwrap(), ItemValue::new(1, 1));
-        assert_eq!(s.last_txn(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_then_reopen_recovers_same_state() {
         let dir = tmpdir("checkpoint");
         {
             let mut s = DurableStore::open(&dir, 6).unwrap();
-            s.commit(1, &[(0, ItemValue::new(10, 1))]).unwrap();
-            s.checkpoint().unwrap();
-            s.commit(2, &[(1, ItemValue::new(20, 2))]).unwrap();
+            let mut site = Site::new(6);
+            site.commit(&mut s, 1, &[(0, ItemValue::new(10, 1))]);
+            s.checkpoint(site.view()).unwrap();
+            site.commit(&mut s, 2, &[(1, ItemValue::new(20, 2))]);
         }
-        let mut s = DurableStore::open(&dir, 6).unwrap();
-        assert_eq!(s.get(0).unwrap(), ItemValue::new(10, 1));
-        assert_eq!(s.get(1).unwrap(), ItemValue::new(20, 2));
+        let (s, found) = reopen(&dir, 6);
+        assert_eq!(found.table.get(0).unwrap(), ItemValue::new(10, 1));
+        assert_eq!(found.table.get(1).unwrap(), ItemValue::new(20, 2));
         assert_eq!(s.last_txn(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -471,16 +521,19 @@ mod tests {
         let dir = tmpdir("protocol-state");
         {
             let mut s = DurableStore::open(&dir, 8).unwrap();
-            s.commit(1, &[(0, ItemValue::new(1, 1))]).unwrap();
+            let mut site = Site::new(8);
+            site.commit(&mut s, 1, &[(0, ItemValue::new(1, 1))]);
             s.log_faillocks(&[(0, 0b0100), (3, 0b0010)]).unwrap();
+            (site.words[0], site.words[3]) = (0b0100, 0b0010);
             s.log_session(4).unwrap();
-            s.checkpoint().unwrap();
+            site.session = 4;
+            s.checkpoint(site.view()).unwrap();
             s.log_faillocks(&[(0, 0)]).unwrap(); // cleared later
         }
-        let s = DurableStore::open(&dir, 8).unwrap();
-        assert_eq!(s.session(), 4);
-        assert_eq!(s.faillocks().get(&0), Some(&0));
-        assert_eq!(s.faillocks().get(&3), Some(&0b0010));
+        let (_, found) = reopen(&dir, 8);
+        assert_eq!(found.session, 4);
+        assert_eq!(found.faillocks.get(&0), Some(&0));
+        assert_eq!(found.faillocks.get(&3), Some(&0b0010));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -490,17 +543,25 @@ mod tests {
         let size = 8u32;
         let due = LOG_PER_SNAPSHOT * Snapshot::encoded_len(size);
         let mut s = DurableStore::open(&dir, size).unwrap();
+        let mut site = Site::new(size);
         s.log_session(3).unwrap();
+        site.session = 3;
         s.log_faillocks(&[(5, 0b10), (6, 0b100)]).unwrap();
         s.log_faillocks(&[(6, 0)]).unwrap();
+        site.words[5] = 0b10;
         let mut txn = 0u64;
         loop {
             txn += 1;
-            s.commit(txn, &[((txn % 8) as u32, ItemValue::new(txn, txn))])
-                .unwrap();
+            site.commit(&mut s, txn, &[((txn % 8) as u32, ItemValue::new(txn, txn))]);
             s.sync().unwrap();
             let (bytes, outgrown) = (s.log_bytes(), s.log_bytes() > due);
-            s.checkpoint_if_due().unwrap();
+            let mut asked = false;
+            s.checkpoint_if_due(|| {
+                asked = true;
+                site.view()
+            })
+            .unwrap();
+            assert_eq!(asked, outgrown, "the view is read only to rotate");
             if outgrown {
                 break;
             }
@@ -518,14 +579,12 @@ mod tests {
         drop(s);
 
         let mut s = DurableStore::open(&dir, size).unwrap();
-        assert_eq!((s.last_txn(), s.session(), s.pending_items()), (txn, 3, 0));
-        let words: Vec<_> = s.faillocks().iter().filter(|(_, w)| **w != 0).collect();
+        assert_eq!((s.last_txn(), s.pending_items()), (txn, 0));
+        let found = s.take_recovered().unwrap();
+        assert_eq!(found.session, 3);
+        let words: Vec<_> = found.faillocks.iter().filter(|(_, w)| **w != 0).collect();
         assert_eq!(words, [(&5, &0b10)]);
-        for item in 0..8u32 {
-            let last = (1..=txn).rev().find(|t| t % 8 == item as u64);
-            let want = last.map_or(ItemValue::INITIAL, |t| ItemValue::new(t, t));
-            assert_eq!(s.get(item).unwrap(), want, "item {item}");
-        }
+        assert_eq!(found.table, site.table);
         drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -534,10 +593,11 @@ mod tests {
     fn a_failed_snapshot_write_is_returned_not_counted() {
         let dir = tmpdir("snapshot-fails");
         let mut s = DurableStore::open(&dir, 4).unwrap();
+        let mut site = Site::new(4);
         // A directory where the snapshot goes: its rename must fail.
         std::fs::create_dir_all(dir.join(SNAP).join("in-the-way")).unwrap();
-        s.commit(1, &[(0, ItemValue::new(1, 1))]).unwrap();
-        assert!(s.checkpoint().is_err());
+        site.commit(&mut s, 1, &[(0, ItemValue::new(1, 1))]);
+        assert!(s.checkpoint(site.view()).is_err());
         assert_eq!(s.counters().checkpoints(), 0);
         drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -552,50 +612,6 @@ mod tests {
         }
         let s = DurableStore::open(&dir, 4).unwrap();
         assert_eq!(s.last_txn(), 7);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn restart_hydrates_lazily_and_background_replay_converges() {
-        let dir = tmpdir("lazy");
-        {
-            let mut s = DurableStore::open(&dir, 8).unwrap();
-            for txn in 1..=6u64 {
-                let item = (txn % 3) as u32;
-                s.commit(txn, &[(item, ItemValue::new(txn * 10, txn))])
-                    .unwrap();
-            }
-        }
-        let mut s = DurableStore::open(&dir, 8).unwrap();
-        // Instant restart: values are pending, not applied.
-        assert_eq!(s.pending_items(), 3);
-        assert_eq!(s.mem().get(0).unwrap(), ItemValue::INITIAL);
-        // On-demand read hydrates just that item.
-        assert_eq!(s.get(0).unwrap(), ItemValue::new(60, 6));
-        assert_eq!(s.pending_items(), 2);
-        // Background replay finishes the rest.
-        assert_eq!(s.hydrate_step(1).unwrap(), 1);
-        assert_eq!(s.hydrate_step(10).unwrap(), 0);
-        assert_eq!(s.mem().get(1).unwrap(), ItemValue::new(40, 4));
-        assert_eq!(s.mem().get(2).unwrap(), ItemValue::new(50, 5));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn commit_after_instant_restart_supersedes_pending_image() {
-        let dir = tmpdir("supersede");
-        {
-            let mut s = DurableStore::open(&dir, 4).unwrap();
-            s.commit(1, &[(0, ItemValue::new(10, 1))]).unwrap();
-        }
-        let mut s = DurableStore::open(&dir, 4).unwrap();
-        assert_eq!(s.pending_items(), 1);
-        s.commit(2, &[(0, ItemValue::new(20, 2))]).unwrap();
-        assert_eq!(s.pending_items(), 0);
-        assert_eq!(s.get(0).unwrap(), ItemValue::new(20, 2));
-        drop(s);
-        let mut s = DurableStore::open(&dir, 4).unwrap();
-        assert_eq!(s.get(0).unwrap(), ItemValue::new(20, 2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,9 +5,10 @@
 //! its measurements. This crate provides that in-memory mode faithfully
 //! ([`MemStore`]) and, because a downstream system needs durability, a
 //! production path as well: a checksummed REDO log with group commit and
-//! instant restart ([`redo`]), snapshots ([`snapshot`]), and a combined
-//! [`DurableStore`] that recovers the committed prefix after a crash and
-//! checkpoints itself so its log stays a few snapshots long.
+//! instant restart ([`redo`]), snapshots ([`snapshot`]), and
+//! [`DurableStore`], a site's log: it recovers the committed prefix after
+//! a crash and checkpoints the site's table so the log stays a few
+//! snapshots long.
 //!
 //! Keys are dense `u32` item identifiers (the paper's database is a fixed
 //! universe of "frequently referenced data items"); values carry a version
@@ -19,18 +20,16 @@ pub mod mem;
 pub mod redo;
 pub mod snapshot;
 
-pub use durable::{DurableStore, LOG_PER_SNAPSHOT};
+pub use durable::{DurableStore, Recovered, SiteView, LOG_PER_SNAPSHOT};
 pub use mem::MemStore;
 pub use redo::{GroupCommitWal, LazyImage, WalCounters};
-
-use serde::{Deserialize, Serialize};
 
 /// A versioned database value.
 ///
 /// `version` is the identifier of the transaction that last wrote the item
 /// (0 for the initial load). Replication code uses it to decide which copy
 /// of an item is fresher; tests use it to verify staleness tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemValue {
     /// Application payload.
     pub data: u64,

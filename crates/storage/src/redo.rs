@@ -334,7 +334,8 @@ pub fn commit_at(raw: &[u8], off: u64) -> Result<CommitRecord> {
 /// per item) or incrementally via [`LazyImage::take_next`].
 ///
 /// Clones share the underlying log bytes but track hydration progress
-/// independently (the store and the engine each drain their own copy).
+/// independently (a checkpoint's snapshot writer drains a copy of the
+/// engine's).
 #[derive(Debug, Clone)]
 pub struct LazyImage {
     raw: Arc<Vec<u8>>,
@@ -404,15 +405,6 @@ impl LazyImage {
             .filter(|w| w.item == item)
             .max_by_key(|w| w.value.version)
             .map(|w| w.value)
-    }
-
-    /// Drop `item` from the pending set without decoding it (a newer
-    /// committed write superseded the logged value).
-    pub fn supersede(&mut self, item: u32) {
-        if self.is_pending(item) {
-            self.pending[item as usize] = false;
-            self.remaining -= 1;
-        }
     }
 
     /// Background replay step: hydrate the next pending item in item
@@ -775,21 +767,6 @@ mod tests {
         assert_eq!(img.take_next(), Some((2, v(20, 1))));
         assert_eq!(img.take_next(), Some((4, v(40, 1))));
         assert_eq!(img.take_next(), None);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn supersede_skips_stale_chain_heads() {
-        let path = tmp("supersede");
-        let (mut wal, _) = GroupCommitWal::open(&path, 2).unwrap();
-        wal.append_commit(1, &[(0, v(1, 1))], &[]).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let state = scan(std::fs::read(&path).unwrap(), 2).unwrap();
-        let mut img = LazyImage::new(&state);
-        img.supersede(0);
-        assert_eq!(img.take(0), None);
-        assert_eq!(img.remaining(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 

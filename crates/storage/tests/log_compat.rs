@@ -55,15 +55,19 @@ fn a_log_from_the_bytewise_writer_opens_and_keeps_growing() {
     std::fs::write(dir.join("site.redo"), LOG).unwrap();
     {
         let mut s = DurableStore::open(&dir, 16).unwrap();
-        assert_eq!((s.last_txn(), s.session(), s.pending_items()), (7, 6, 4));
-        assert_eq!(s.get(3).unwrap(), ItemValue::new(302, 7));
+        assert_eq!((s.last_txn(), s.pending_items()), (7, 4));
+        let mut found = s.take_recovered().unwrap();
+        assert_eq!(found.session, 6);
+        assert_eq!(found.image.take(3), Some(ItemValue::new(302, 7)));
         s.commit(8, &[(3, ItemValue::new(303, 8))]).unwrap();
     }
     // Old frames and new ones checksum alike: the appended record is
     // intact behind them.
     let mut s = DurableStore::open(&dir, 16).unwrap();
     assert_eq!(s.last_txn(), 8);
-    assert_eq!(s.get(3).unwrap(), ItemValue::new(303, 8));
-    assert_eq!(s.get(15).unwrap(), ItemValue::new(1500, 5));
+    let mut found = s.take_recovered().unwrap();
+    found.hydrate_all().unwrap();
+    assert_eq!(found.table.get(3).unwrap(), ItemValue::new(303, 8));
+    assert_eq!(found.table.get(15).unwrap(), ItemValue::new(1500, 5));
     std::fs::remove_dir_all(&dir).unwrap();
 }

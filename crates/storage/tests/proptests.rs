@@ -4,11 +4,21 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use miniraid_storage::snapshot::Snapshot;
-use miniraid_storage::{DurableStore, ItemValue, MemStore, LOG_PER_SNAPSHOT};
+use miniraid_storage::{DurableStore, ItemValue, MemStore, Recovered, SiteView, LOG_PER_SNAPSHOT};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = ItemValue> {
     (any::<u64>(), 1u64..1_000_000).prop_map(|(d, v)| ItemValue::new(d, v))
+}
+
+/// Open `dir` and take what it recovered, fully hydrated.
+fn recover(dir: &Path, size: u32) -> Recovered {
+    let mut found = DurableStore::open(dir, size)
+        .unwrap()
+        .take_recovered()
+        .unwrap();
+    found.hydrate_all().unwrap();
+    found
 }
 
 proptest! {
@@ -59,19 +69,17 @@ proptest! {
                     .iter()
                     .map(|(item, data)| (*item, ItemValue::new(*data, txn)))
                     .collect();
+                // An aborted transaction logs nothing (REDO-only).
                 if *commit {
                     s.commit(txn, &ws).unwrap();
                     for (item, v) in &ws {
                         expect.put(*item, *v).unwrap();
                     }
-                } else {
-                    s.abort(txn).unwrap();
                 }
             }
         } // crash (drop without checkpoint)
-        let mut s = DurableStore::open(&dir, 16).unwrap();
-        s.hydrate_all().unwrap(); // instant restart: replay before digesting
-        prop_assert_eq!(s.mem().digest(), expect.digest());
+        let found = recover(&dir, 16);
+        prop_assert_eq!(found.table.digest(), expect.digest());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -175,19 +183,24 @@ proptest! {
         } // crash
 
         // Reference: full replay up front.
-        let mut reference = DurableStore::open(&dir, 12).unwrap();
-        reference.hydrate_all().unwrap();
+        let reference = recover(&dir, 12);
 
-        // Instant restart: serve reads while replay proceeds in steps.
-        let mut lazy = DurableStore::open(&dir, 12).unwrap();
+        // Instant restart: serve reads while replay proceeds in steps,
+        // the way an engine drives the image it took over.
+        let mut lazy = DurableStore::open(&dir, 12).unwrap().take_recovered().unwrap();
         for (item, step) in &probes {
             if *step {
-                lazy.hydrate_step(1).unwrap();
+                if let Some((next, v)) = lazy.image.take_next() {
+                    lazy.table.put(next, v).unwrap();
+                }
             }
-            prop_assert_eq!(lazy.get(*item).unwrap(), reference.get(*item).unwrap());
+            if let Some(v) = lazy.image.take(*item) {
+                lazy.table.put(*item, v).unwrap();
+            }
+            prop_assert_eq!(lazy.table.get(*item).unwrap(), reference.table.get(*item).unwrap());
         }
         lazy.hydrate_all().unwrap();
-        prop_assert_eq!(lazy.mem().digest(), reference.mem().digest());
+        prop_assert_eq!(lazy.table.digest(), reference.table.digest());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -213,7 +226,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// What a store must hold after a prefix of the ops.
+/// What a store must hold after a prefix of the ops: the oracle.
 #[derive(Debug, Clone)]
 struct Model {
     mem: MemStore,
@@ -222,8 +235,29 @@ struct Model {
     last_txn: u64,
 }
 
+/// The state the site running on the store holds, kept apart from the
+/// oracle: the rotation snapshots this table and restates these words.
+struct Site {
+    table: MemStore,
+    words: Vec<u64>,
+    session: u64,
+}
+
+impl Site {
+    fn view(&self) -> SiteView<'_> {
+        SiteView {
+            table: &self.table,
+            pending: None,
+            words: &self.words,
+            session: self.session,
+        }
+    }
+}
+
 impl Model {
-    fn apply(&mut self, op: &Op, store: &mut DurableStore) {
+    /// Log `op` to `store`, apply it to the site's state, and advance
+    /// the oracle.
+    fn apply(&mut self, op: &Op, store: &mut DurableStore, site: &mut Site) {
         match op {
             Op::Commit(writes) => {
                 self.last_txn += 1;
@@ -234,12 +268,14 @@ impl Model {
                     .collect();
                 store.commit(txn, &ws).unwrap();
                 for (item, v) in ws {
+                    site.table.put(item, v).unwrap();
                     self.mem.put(item, v).unwrap();
                 }
             }
             Op::Words(words) => {
                 store.log_faillocks(words).unwrap();
                 for (item, word) in words {
+                    site.words[*item as usize] = *word;
                     match word {
                         0 => self.words.remove(item),
                         w => self.words.insert(*item, *w),
@@ -249,6 +285,7 @@ impl Model {
             Op::Session => {
                 self.session += 1;
                 store.log_session(self.session).unwrap();
+                site.session = self.session;
             }
         }
     }
@@ -258,17 +295,19 @@ impl Model {
     fn check(&self, dir: &Path, what: &str) {
         for pass in ["open", "reopen"] {
             let mut s = DurableStore::open(dir, ITEMS).unwrap();
-            s.hydrate_all().unwrap();
-            let words: BTreeMap<u32, u64> = s
-                .faillocks()
+            let last_txn = s.last_txn();
+            let mut found = s.take_recovered().unwrap();
+            found.hydrate_all().unwrap();
+            let words: BTreeMap<u32, u64> = found
+                .faillocks
                 .iter()
                 .filter(|(_, w)| **w != 0)
                 .map(|(i, w)| (*i, *w))
                 .collect();
-            assert_eq!(s.mem(), &self.mem, "{what}: table after {pass}");
+            assert_eq!(found.table, self.mem, "{what}: table after {pass}");
             assert_eq!(words, self.words, "{what}: fail-lock words after {pass}");
-            assert_eq!(s.session(), self.session, "{what}: session after {pass}");
-            assert_eq!(s.last_txn(), self.last_txn, "{what}: last_txn after {pass}");
+            assert_eq!(found.session, self.session, "{what}: session after {pass}");
+            assert_eq!(last_txn, self.last_txn, "{what}: last_txn after {pass}");
             drop(s);
             assert!(!dir.join("site.redo.prev").exists(), "{what}: .prev left");
         }
@@ -358,6 +397,11 @@ proptest! {
             last_txn: 0,
         };
         let mut s = DurableStore::open(&live, ITEMS).unwrap();
+        let mut site = Site {
+            table: MemStore::new(ITEMS),
+            words: vec![0; ITEMS as usize],
+            session: 0,
+        };
         let mut epochs = vec![Epoch {
             snap: None,
             rotation: None,
@@ -367,13 +411,13 @@ proptest! {
             log: Vec::new(),
         }];
         for op in &ops {
-            model.apply(op, &mut s);
+            model.apply(op, &mut s, &mut site);
             s.sync().unwrap();
             let epoch = epochs.last_mut().unwrap();
             epoch.log = read("site.redo").unwrap();
             epoch.ends.push((epoch.log.len(), model.clone()));
             let rotates = s.log_bytes() > due;
-            s.checkpoint_if_due().unwrap();
+            s.checkpoint_if_due(|| site.view()).unwrap();
             if rotates {
                 s.wait_checkpoint().unwrap();
                 let prev = std::mem::take(&mut epoch.log);

@@ -112,10 +112,11 @@ fn committed_state_can_be_made_durable_and_recovered() {
     } // crash
     let mut store = DurableStore::open(&dir, 20).unwrap();
     // Restart is instant: the image hydrates lazily, so force full
-    // replay before digesting the in-memory store.
-    store.hydrate_all().unwrap();
+    // replay before digesting the recovered table.
+    let mut found = store.take_recovered().unwrap();
+    found.hydrate_all().unwrap();
     assert_eq!(
-        store.mem().digest(),
+        found.table.digest(),
         manager.sim.engine(SiteId(0)).db().digest(),
         "durable recovery must reproduce the replicated image"
     );
